@@ -134,9 +134,9 @@ void AdaptiveHost::activate(ControlMode m) {
     // Migrate any backlog held by the bank into the token buckets so no
     // packet is stranded in a paused pipeline.
     bank_->pause();
-    for (auto& p : bank_->drain()) {
+    bank_->drain([this](sim::Packet p) {
       buckets_[flow_index(p.flow)]->offer(std::move(p));
-    }
+    });
   }
 }
 

@@ -71,14 +71,6 @@ void LambdaRegulatorBank::pause() {
   boundary_event_.cancel();
 }
 
-std::vector<sim::Packet> LambdaRegulatorBank::drain() {
-  std::vector<sim::Packet> out;
-  for (auto& q : queues_) {
-    while (!q.empty()) out.push_back(q.pop());
-  }
-  return out;
-}
-
 void LambdaRegulatorBank::resume() {
   if (running_) return;
   running_ = true;

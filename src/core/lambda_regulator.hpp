@@ -61,9 +61,15 @@ class LambdaRegulatorBank {
   void resume();
   bool running() const { return running_; }
 
-  /// Remove and return all queued packets (in per-flow FIFO order).  Used
-  /// by the adaptive host to migrate backlog when switching models.
-  std::vector<sim::Packet> drain();
+  /// Remove every queued packet, handing each to `fn` in per-flow FIFO
+  /// order (slot by slot).  Used by the adaptive host to migrate backlog
+  /// when switching models; `fn` must not offer back into this bank.
+  template <typename Fn>
+  void drain(Fn&& fn) {
+    for (auto& q : queues_) {
+      while (!q.empty()) fn(q.pop());
+    }
+  }
 
   /// Self plus owned heap (memory-budget convention, see core::Mux; the
   /// small TurnSchedule heap is priced inside sizeof via its slot count

@@ -65,10 +65,10 @@ class Mux {
 
   MuxDiscipline discipline() const { return discipline_; }
 
-  /// Footprint: self plus queued entries (heap).  Convention across the
-  /// pipeline classes: memory_bytes() = sizeof(*this) + owned heap;
-  /// composite owners subtract sizeof of by-value members they already
-  /// counted inside their own sizeof.
+  /// Footprint: self plus the class queues' ring storage (heap).
+  /// Convention across the pipeline classes: memory_bytes() =
+  /// sizeof(*this) + owned heap; composite owners subtract sizeof of
+  /// by-value members they already counted inside their own sizeof.
   std::size_t memory_bytes() const {
     std::size_t bytes = sizeof(*this);
     for (const auto& q : classes_) bytes += q.heap_bytes();

@@ -33,7 +33,7 @@ class TokenBucketRegulator {
   std::uint64_t forwarded() const { return forwarded_; }
   std::uint64_t rejected() const { return rejected_; }  ///< oversized drops
 
-  /// Self plus queued-entry heap (memory-budget convention, see Mux).
+  /// Self plus the queue's ring storage (memory-budget convention, see Mux).
   std::size_t memory_bytes() const {
     return sizeof(*this) + queue_.heap_bytes();
   }

@@ -7,9 +7,17 @@
 // disciplines can make their pick a pure function of (decision time,
 // queue content) rather than of event interleaving — see
 // pop_newest_before() and core::Mux.  Plain FIFO users ignore the stamp.
+//
+// Storage is a power-of-two ring over one contiguous buffer.  A queue
+// that never sees a packet allocates nothing; the first push allocates
+// kInitialCapacity entries, a push into a full ring doubles it, and
+// nothing ever shrinks it — clear() keeps the capacity — so a warmed
+// queue pushes and pops without touching the allocator.  A growing push
+// moves every entry, so a front() pointer does not survive a push to
+// the same queue.
 
 #include <cstddef>
-#include <deque>
+#include <memory>
 
 #include "sim/packet.hpp"
 #include "util/types.hpp"
@@ -17,13 +25,30 @@
 namespace emcast::sim {
 
 class FifoQueue {
+  struct Entry {
+    Packet packet;
+    Time enqueued_at = 0.0;
+  };
+
  public:
+  /// Ring size allocated by the first push (a power of two).
+  static constexpr std::size_t kInitialCapacity = 4;
+  /// Bytes of ring storage per entry (heap_bytes() = capacity × this).
+  static constexpr std::size_t kEntryBytes = sizeof(Entry);
+
+  FifoQueue() = default;
+  FifoQueue(FifoQueue&& other) noexcept;
+  FifoQueue& operator=(FifoQueue&& other) noexcept;
+
   /// `enqueued_at` stamps the entry for pop_newest_before(); plain FIFO
   /// users may omit it.
   void push(Packet p, Time enqueued_at = 0.0);
 
-  /// Front packet without removing it; nullptr when empty.
-  const Packet* front() const;
+  /// Front packet without removing it; nullptr when empty.  Invalidated
+  /// by the next push (which may grow the ring).
+  const Packet* front() const {
+    return size_ == 0 ? nullptr : &slots_[head_].packet;
+  }
 
   /// Remove and return the front packet.  Undefined when empty.
   Packet pop();
@@ -56,30 +81,38 @@ class FifoQueue {
   /// "visible backlog" test service decisions at `t` use (stamps are
   /// non-decreasing, so the front holds the minimum).
   bool has_entry_before(Time t) const {
-    return !entries_.empty() && entries_.front().enqueued_at < t;
+    return size_ != 0 && slots_[head_].enqueued_at < t;
   }
 
-  bool empty() const { return entries_.empty(); }
-  std::size_t size() const { return entries_.size(); }
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  /// Entries the ring holds before its next growth (0 until first push).
+  std::size_t capacity() const { return capacity_; }
 
   Bits backlog_bits() const { return backlog_bits_; }
   Bits peak_backlog_bits() const { return peak_backlog_bits_; }
   std::uint64_t total_enqueued() const { return total_enqueued_; }
 
-  /// Heap bytes behind this queue (entry payload only; the deque's block
-  /// directory is ignored).  Feeds the per-host memory budget report.
-  std::size_t heap_bytes() const { return entries_.size() * sizeof(Entry); }
+  /// Heap bytes behind this queue: the whole ring, occupied or not.
+  /// Feeds the per-host memory budget report.
+  std::size_t heap_bytes() const { return capacity_ * kEntryBytes; }
 
+  /// Drop every entry and zero the backlog; the ring keeps its capacity
+  /// and the peak and total counters are kept.
   void clear();
 
  private:
-  struct Entry {
-    Packet packet;
-    Time enqueued_at = 0.0;
-  };
+  /// Ring slot of the i-th oldest entry.
+  std::size_t slot(std::size_t i) const {
+    return (head_ + i) & (capacity_ - 1);
+  }
+  void grow();
   void account_pop(const Packet& p);
 
-  std::deque<Entry> entries_;
+  std::unique_ptr<Entry[]> slots_;
+  std::size_t capacity_ = 0;  ///< 0 or a power of two
+  std::size_t head_ = 0;      ///< slot of the oldest entry
+  std::size_t size_ = 0;
   Bits backlog_bits_ = 0;
   Bits peak_backlog_bits_ = 0;
   std::uint64_t total_enqueued_ = 0;

@@ -55,7 +55,16 @@ void Channel::check_blocked(double elapsed, const char* op) const {
 void Channel::recv_frame(std::vector<std::uint8_t>& out) {
   const double start = monotonic_seconds();
   while (!try_recv_frame(out)) {
-    check_blocked(monotonic_seconds() - start, "recv");
+    try {
+      check_blocked(monotonic_seconds() - start, "recv");
+    } catch (const TransportError&) {
+      // A worker sends its last frame and exits at once, so the probe can
+      // report the exit after the empty poll above missed that frame.
+      // What the peer wrote before exiting stays readable: poll once
+      // more before giving up.
+      if (try_recv_frame(out)) return;
+      throw;
+    }
   }
 }
 

@@ -160,8 +160,10 @@ TEST(LambdaBank, DrainReturnsQueuedPackets) {
   h.bank->offer(make_packet(0, 100.0, 1));
   h.bank->offer(make_packet(1, 100.0, 2));
   h.bank->offer(make_packet(2, 100.0, 3));
-  auto drained = h.bank->drain();
-  EXPECT_EQ(drained.size(), 3u);
+  std::vector<sim::Packet> drained;
+  h.bank->drain([&drained](sim::Packet p) { drained.push_back(p); });
+  ASSERT_EQ(drained.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(drained[i].id, i + 1);
   EXPECT_DOUBLE_EQ(h.bank->total_backlog_bits(), 0.0);
 }
 

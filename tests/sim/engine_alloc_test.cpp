@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/adaptive_host.hpp"
 #include "overlay/repair.hpp"
 #include "sim/context.hpp"
 #include "sim/event_queue.hpp"
@@ -38,10 +39,29 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// The nothrow forms (std::get_temporary_buffer, used by stable_sort) must
+// be counted too, and must come from malloc like the rest: the library's
+// own would be freed by the free() below, an alloc/dealloc mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++g_allocations;
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  ++g_allocations;
+  return std::malloc(size);
+}
+
+// noinline: inlined into a caller, the free() would sit next to a
+// visible new-expression and trip -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace emcast::sim {
 
@@ -581,6 +601,72 @@ TEST(EngineAllocation, BatchSourceTrainSteadyStateIsAllocationFree) {
   EXPECT_EQ(delivered, first);
   EXPECT_EQ(g_allocations.load(), before)
       << "batched source train steady state must not allocate";
+}
+
+TEST(EngineAllocation, RegulatedPipelineSteadyStateIsAllocationFree) {
+  // The model pipeline of every regulated forwarder: K token buckets or
+  // the (σ, ρ, λ) bank feeding the adversarial LIFO general MUX.  Each
+  // flow sends a burst every second, above σ in the high-load half of an
+  // 8 s cycle (0.75 of C) and one packet in the low half (0.19 of C), so
+  // every FIFO backs up (the MUX's low class past the ring's initial
+  // size) and the Adaptive host switches models both ways, migrating the
+  // bank's backlog into the buckets.  All times are dyadic and the bank
+  // period is exactly 1 s (σ̂ = ρ̂(1−ρ̂), no σ margin), so the traffic
+  // grid and the TDMA frame stay in phase and the run is periodic.
+  // After a warm-up of four cycles grows the rings, the event slabs and
+  // the tracer's per-flow entries, four more cycles must allocate
+  // nothing in each model.
+  struct Burst {
+    Simulator* sim;
+    core::AdaptiveHost* host;
+    std::uint64_t* next_id;
+    void operator()() const {
+      const bool high = static_cast<long>(sim->now() / 4.0) % 2 == 0;
+      for (FlowId f = 0; f < 3; ++f) {
+        for (int i = 0; i < (high ? 4 : 1); ++i) {
+          Packet p;
+          p.id = (*next_id)++;
+          p.flow = f;
+          p.size = 1000.0;
+          host->offer(p);
+        }
+      }
+      sim->schedule_in(1.0, *this);
+    }
+  };
+  for (const core::ControlMode mode :
+       {core::ControlMode::SigmaRho, core::ControlMode::SigmaRhoLambda,
+        core::ControlMode::Adaptive}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    Simulator sim;
+    core::AdaptiveHostConfig cfg;
+    cfg.flows = {{0, 3000.0, 4000.0, 0}, {1, 3000.0, 4000.0, 1},
+                 {2, 3000.0, 4000.0, 1}};
+    cfg.capacity = 16000.0;
+    cfg.mode = mode;
+    cfg.mux_discipline = core::MuxDiscipline::PriorityLifoLowest;
+    cfg.threshold_utilization = 0.5;
+    cfg.estimator_window = 1.0;
+    cfg.control_interval = 0.25;
+    cfg.lambda_sigma_margin = 1.0;
+    std::uint64_t delivered = 0;
+    core::AdaptiveHost host(sim, cfg, [&delivered](Packet) { ++delivered; });
+    std::uint64_t next_id = 0;
+    sim.schedule_at(0.0, Burst{&sim, &host, &next_id});
+    sim.run(32.0);  // warm-up: four load cycles
+
+    const std::size_t before = g_allocations.load();
+    const std::uint64_t delivered_warm = delivered;
+    const std::uint64_t switches_warm = host.mode_switches();
+    sim.run(64.0);
+    EXPECT_EQ(g_allocations.load(), before)
+        << "regulated pipeline steady state must not allocate";
+    EXPECT_GT(delivered, delivered_warm);
+    if (mode == core::ControlMode::Adaptive) {
+      EXPECT_GE(host.mode_switches(), switches_warm + 2)
+          << "the window must switch models both ways";
+    }
+  }
 }
 
 TEST(EngineAllocation, SimulatorEventLoopIsAllocationFree) {

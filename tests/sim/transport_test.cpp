@@ -102,6 +102,22 @@ TEST(TransportShm, BlockedRecvObservesPeerProbe) {
   }
 }
 
+TEST(TransportShm, FrameSentJustBeforePeerExitIsDelivered) {
+  // A worker sends its Bye frame and exits at once: the hub's empty poll
+  // can run before the frame lands and its probe after the exit.  The
+  // probe below plays that peer, so the frame arrives between the two.
+  ChannelPair pair = make_shm_pair(4096);
+  Channel* peer = pair.worker_end.get();
+  pair.hub_end->set_timeout(30.0);
+  pair.hub_end->set_peer_probe([peer] {
+    peer->send_frame(pattern_frame(10, 7));
+    return std::string("worker 0 exited with status 0 mid-protocol");
+  });
+  std::vector<std::uint8_t> buf;
+  pair.hub_end->recv_frame(buf);
+  EXPECT_EQ(buf, pattern_frame(10, 7));
+}
+
 TEST(TransportSocket, PeerCloseSurfacesAsError) {
   ChannelPair pair = make_socket_pair();
   pair.worker_end->send_frame(pattern_frame(10, 1));

@@ -1,6 +1,12 @@
 #include "topology/shortest_path.hpp"
 
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "topology/backbone.hpp"
+#include "topology/hierarchical.hpp"
+#include "topology/host_attachment.hpp"
 
 namespace emcast::topology {
 namespace {
@@ -96,6 +102,72 @@ TEST(Dijkstra, TriangleInequalityHoldsOnBackbone) {
       }
     }
   }
+}
+
+// Every row of the matrix against a per-source dijkstra(), compared with
+// exact double equality: the leaf-peeled build must not move a bit.
+void expect_rows_match_dijkstra(const Graph& g) {
+  const DelayMatrix m(g);
+  const std::size_t n = g.node_count();
+  ASSERT_EQ(m.size(), n);
+  std::vector<Time> row(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t t = 0; t < n; ++t) {
+      row[t] = m.at(static_cast<NodeId>(s), static_cast<NodeId>(t));
+    }
+    EXPECT_EQ(row, dijkstra(g, static_cast<NodeId>(s)).distance)
+        << "row of source " << s;
+  }
+}
+
+TEST(DelayMatrix, LeafPeelingMatchesDijkstraExactly) {
+  // Routers 0-3 with delays whose sums round differently by association.
+  Graph g(15);
+  g.add_edge(0, 1, 0.1, 1e6);
+  g.add_edge(1, 2, 0.2, 1e6);
+  g.add_edge(2, 3, 0.7, 1e6);
+  g.add_edge(2, 3, 0.05, 1e6);  // parallel router edges: cheaper twin
+  g.add_edge(3, 0, 0.3, 1e6);
+  g.add_edge(4, 0, 0.3, 1e6);   // leaf 4 on router 0
+  g.add_edge(5, 1, 0.1, 1e6);   // leaves 5 and 6 share router 1
+  g.add_edge(6, 1, 0.2, 1e6);
+  g.add_edge(7, 3, 0.0, 1e6);   // zero-delay access link
+  g.add_edge(8, 2, 0.06, 1e6);  // host 8 dual-linked to router 2: two
+  g.add_edge(8, 2, 0.04, 1e6);  // parallel edges make it core, not leaf
+  g.add_edge(9, 10, 0.4, 1e6);  // two-node component: neither is a leaf
+  // Node 11 stays isolated (unreachable from everything).  Router 12
+  // carries leaves 13 and 14 in a component of its own.
+  g.add_edge(13, 12, 0.15, 1e6);
+  g.add_edge(14, 12, 0.25, 1e6);
+  expect_rows_match_dijkstra(g);
+
+  const DelayMatrix m(g);
+  EXPECT_EQ(m.at(4, 4), 0.0) << "a leaf source's own entry";
+  EXPECT_EQ(m.at(5, 6), (0.0 + 0.1) + 0.2) << "two leaves on one router";
+  EXPECT_EQ(m.at(3, 2), 0.05) << "the cheaper parallel edge wins";
+  EXPECT_EQ(m.at(9, 10), 0.4);
+  EXPECT_EQ(m.at(0, 11), kTimeInfinity);
+  EXPECT_EQ(m.at(11, 0), kTimeInfinity);
+  EXPECT_EQ(m.at(4, 13), kTimeInfinity);
+  EXPECT_EQ(m.at(13, 14), (0.0 + 0.15) + 0.25);
+}
+
+TEST(DelayMatrix, LeafPeelingMatchesDijkstraOnPaperNetworks) {
+  // The Fig. 5 attachments the 665-host experiments build, at three
+  // topology seeds, plus a small hierarchical underlay whose stubs are
+  // dual-homed (routers of every degree, hosts as leaves).
+  const Graph backbone = make_fig5_backbone();
+  for (const std::uint64_t seed : {42u, 7u, 1234u}) {
+    SCOPED_TRACE(seed);
+    HostAttachmentConfig hc;
+    hc.seed = seed;
+    expect_rows_match_dijkstra(attach_hosts(backbone, hc).graph);
+  }
+  HierarchicalConfig hier;
+  hier.routers = 48;
+  hier.hosts = 400;
+  hier.stub_extra_uplinks = 1;
+  expect_rows_match_dijkstra(make_hierarchical(hier).graph);
 }
 
 }  // namespace
