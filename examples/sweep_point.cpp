@@ -4,10 +4,11 @@
 // (single / sharded / process behind one config field) and the worker
 // program `tools/orchestrate.py` fans out: the orchestrator appends
 // point flags to this command line, reads the single JSON object this
-// prints, and checkpoints it into the sweep manifest.
+// prints, and checkpoints it into the sweep manifest.  For example, as
+// one command line:
 //
-//   ./example_sweep_point --engine process --shards 4 --processes 2 \
-//       --scheme adaptive --utilization 0.9
+//   ./example_sweep_point --engine process --shards 4 --processes 2
+//                         --scheme adaptive --utilization 0.9
 //
 // Every flag has a deterministic default, so a bare invocation is a
 // valid (and reproducible) point.

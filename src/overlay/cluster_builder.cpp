@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace emcast::overlay {
 
@@ -47,52 +48,66 @@ std::vector<Cluster> cluster_once(const std::vector<std::size_t>& ids,
   if (cfg.min_size < 2 || cfg.max_size < cfg.min_size) {
     throw std::invalid_argument("cluster_once: bad size range");
   }
-  std::vector<std::size_t> unassigned = ids;
+  // Unassigned members live in work[head, end) as (RTT to the current
+  // seed, member).  Per cluster, each remaining member's RTT to the seed is
+  // written once and partial_sort compares keys alone.  It answers as a
+  // comparator calling rtt(seed, ·) on both sides would at the same
+  // positions, so it makes the same moves: the chosen members, their order
+  // and the leftover order that picks the next seed are unchanged.  For d
+  // members in clusters of mean size s that is O(d^2 / s) RTT calls.
+  std::vector<std::pair<Time, std::size_t>> work;
+  work.reserve(ids.size());
+  for (std::size_t id : ids) work.emplace_back(0.0, id);
+  const auto at = [&work](std::size_t i) {
+    return work.begin() + static_cast<std::ptrdiff_t>(i);
+  };
   std::vector<Cluster> clusters;
-  while (!unassigned.empty()) {
+  std::size_t head = 0;
+  while (head < work.size()) {
+    const std::size_t remaining = work.size() - head;
     // Paper rule: if fewer than max_size+1 members remain they form one
     // final cluster; otherwise draw a size from [min_size, max_size].
     std::size_t want;
-    if (unassigned.size() <= cfg.max_size) {
-      want = unassigned.size();
+    if (remaining <= cfg.max_size) {
+      want = remaining;
     } else {
       want = static_cast<std::size_t>(rng.uniform_int(
           static_cast<std::int64_t>(cfg.min_size),
           static_cast<std::int64_t>(cfg.max_size)));
       // Never leave a single orphan behind (it could not form a cluster).
-      if (unassigned.size() - want == 1) ++want;
+      if (remaining - want == 1) ++want;
     }
-    // Seed selection.
-    std::size_t seed_pos = 0;
-    if (cfg.random_seeds && unassigned.size() > 1) {
-      seed_pos = static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(unassigned.size()) - 1));
+    // Seed selection; a random seed rotates to the front, the others keep
+    // their order.
+    if (cfg.random_seeds && remaining > 1) {
+      const std::size_t seed_pos =
+          head + static_cast<std::size_t>(rng.uniform_int(
+                     0, static_cast<std::int64_t>(remaining) - 1));
+      std::rotate(at(head), at(seed_pos), at(seed_pos + 1));
     }
-    const std::size_t seed = unassigned[seed_pos];
-    // Sort remaining by RTT to the seed and take the closest (want−1).
-    std::vector<std::size_t> rest;
-    rest.reserve(unassigned.size() - 1);
-    for (std::size_t i = 0; i < unassigned.size(); ++i) {
-      if (i != seed_pos) rest.push_back(unassigned[i]);
+    const std::size_t seed = work[head++].second;
+    // Key the rest by RTT to the seed and take the closest (want−1).
+    for (std::size_t i = head; i < work.size(); ++i) {
+      work[i].first = rtt(seed, work[i].second);
     }
-    const std::size_t take = std::min(want - 1, rest.size());
-    std::partial_sort(rest.begin(),
-                      rest.begin() + static_cast<std::ptrdiff_t>(take),
-                      rest.end(), [&](std::size_t a, std::size_t b) {
-                        return rtt(seed, a) < rtt(seed, b);
+    const std::size_t take = std::min(want - 1, work.size() - head);
+    std::partial_sort(at(head), at(head + take), work.end(),
+                      [](const auto& a, const auto& b) {
+                        return a.first < b.first;
                       });
     Cluster c;
+    c.members.reserve(take + 1);
     c.members.push_back(seed);
-    c.members.insert(c.members.end(), rest.begin(),
-                     rest.begin() + static_cast<std::ptrdiff_t>(take));
+    for (std::size_t i = head; i < head + take; ++i) {
+      c.members.push_back(work[i].second);
+    }
+    head += take;
     c.core = elect_core(c.members, rtt, cfg.budget);
     if (cfg.budget != nullptr) {
       auto& left = (*cfg.budget)[c.core];
       left -= std::min(left, c.members.size() - 1);
     }
     clusters.push_back(std::move(c));
-    unassigned.assign(rest.begin() + static_cast<std::ptrdiff_t>(take),
-                      rest.end());
   }
   return clusters;
 }

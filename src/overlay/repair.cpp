@@ -13,7 +13,7 @@ ChurnTree::ChurnTree(const MulticastTree& tree)
       alive_count_(tree.size()) {
   for (std::size_t i = 0; i < tree.size(); ++i) {
     parent_[i] = tree.parent(i);
-    children_[i] = tree.children(i);
+    children_[i].assign(tree.children(i).begin(), tree.children(i).end());
   }
 }
 

@@ -35,32 +35,23 @@ MulticastTree::MulticastTree(std::vector<Member> members,
   if (root_count != 1) {
     throw std::invalid_argument("MulticastTree: must have exactly one root");
   }
-  // Reachability check: BFS must visit all members (also rejects cycles).
-  if (bfs_order().size() != n) {
+  // Reachability check: BFS must visit all members (also rejects cycles);
+  // parents precede children in BFS order, so it fills the depths too.
+  const std::vector<std::size_t> order = bfs_order();
+  if (order.size() != n) {
     throw std::invalid_argument("MulticastTree: not a spanning tree");
   }
-}
-
-void MulticastTree::build_depths() const {
-  if (!depth_cache_.empty()) return;
-  depth_cache_.assign(members_.size(), -1);
-  depth_cache_[root_] = 0;
-  for (std::size_t i : bfs_order()) {
-    for (std::size_t c : children_[i]) {
-      depth_cache_[c] = depth_cache_[i] + 1;
-    }
+  depth_.assign(n, 0);
+  for (std::size_t u : order) {
+    for (std::size_t c : children(u)) depth_[c] = depth_[u] + 1;
   }
 }
 
 int MulticastTree::height_hops() const {
-  build_depths();
-  return *std::max_element(depth_cache_.begin(), depth_cache_.end());
+  return *std::max_element(depth_.begin(), depth_.end());
 }
 
-int MulticastTree::depth(std::size_t i) const {
-  build_depths();
-  return depth_cache_[i];
-}
+int MulticastTree::depth(std::size_t i) const { return depth_[i]; }
 
 std::vector<std::size_t> MulticastTree::path_from_root(std::size_t i) const {
   std::vector<std::size_t> path;
@@ -87,7 +78,7 @@ std::vector<std::size_t> MulticastTree::bfs_order() const {
     const std::size_t u = frontier.front();
     frontier.pop();
     order.push_back(u);
-    for (std::size_t c : children_[u]) frontier.push(c);
+    for (std::size_t c : children(u)) frontier.push(c);
   }
   return order;
 }

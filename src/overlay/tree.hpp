@@ -4,6 +4,7 @@
 // overlay edges can be priced by underlay propagation delay.
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "util/types.hpp"
@@ -30,7 +31,8 @@ class MulticastTree {
   std::size_t root() const { return root_; }
   const Member& member(std::size_t i) const { return members_[i]; }
   std::size_t parent(std::size_t i) const { return parent_[i]; }
-  const std::vector<std::size_t>& children(std::size_t i) const {
+  /// Member i's children, in ascending member order.
+  std::span<const std::size_t> children(std::size_t i) const {
     return children_[i];
   }
 
@@ -57,10 +59,9 @@ class MulticastTree {
   std::vector<Member> members_;
   std::vector<std::size_t> parent_;
   std::vector<std::vector<std::size_t>> children_;
+  std::vector<int> depth_;
   std::size_t root_;
   int hierarchy_layers_;
-  mutable std::vector<int> depth_cache_;
-  void build_depths() const;
 };
 
 }  // namespace emcast::overlay

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "topology/shortest_path.hpp"
 #include "util/rng.hpp"
 
 namespace emcast::topology {
@@ -121,8 +120,26 @@ AttachedNetwork make_hierarchical(const HierarchicalConfig& config) {
   return net;
 }
 
-HostDelayOracle::HostDelayOracle(const AttachedNetwork& net) {
-  routers_ = net.router_count;
+namespace {
+
+// Router-only subgraph (hosts are leaves, so no router-router shortest
+// path ever routes through a host — dropping them changes nothing).
+Graph router_graph(const AttachedNetwork& net) {
+  Graph core(net.router_count);
+  for (std::size_t r = 0; r < net.router_count; ++r) {
+    for (const Edge& e : net.graph.neighbors(static_cast<NodeId>(r))) {
+      if (static_cast<std::size_t>(e.to) < r) continue;  // each edge once
+      if (!net.is_router(e.to)) continue;
+      core.add_edge(static_cast<NodeId>(r), e.to, e.delay, e.capacity);
+    }
+  }
+  return core;
+}
+
+}  // namespace
+
+HostDelayOracle::HostDelayOracle(const AttachedNetwork& net)
+    : router_delay_(router_graph(net)) {
   const std::size_t hosts = net.hosts.size();
 
   // Leaf check + access-delay extraction: the decomposition below is only
@@ -138,24 +155,6 @@ HostDelayOracle::HostDelayOracle(const AttachedNetwork& net) {
     }
     access_.push_back(edges[0].delay);
     attach_.push_back(edges[0].to);
-  }
-
-  // Router-only subgraph (hosts are leaves, so no router-router shortest
-  // path ever routes through a host — dropping them changes nothing).
-  Graph core(routers_);
-  for (std::size_t r = 0; r < routers_; ++r) {
-    for (const Edge& e : net.graph.neighbors(static_cast<NodeId>(r))) {
-      if (static_cast<std::size_t>(e.to) < r) continue;  // each edge once
-      if (!net.is_router(e.to)) continue;
-      core.add_edge(static_cast<NodeId>(r), e.to, e.delay, e.capacity);
-    }
-  }
-
-  router_delay_.resize(routers_ * routers_);
-  for (std::size_t r = 0; r < routers_; ++r) {
-    const ShortestPathTree tree = dijkstra(core, static_cast<NodeId>(r));
-    std::copy(tree.distance.begin(), tree.distance.end(),
-              router_delay_.begin() + static_cast<std::ptrdiff_t>(r * routers_));
   }
 }
 

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "topology/host_attachment.hpp"
+#include "topology/shortest_path.hpp"
 #include "util/types.hpp"
 
 namespace emcast::topology {
@@ -75,9 +76,12 @@ AttachedNetwork make_hierarchical(const HierarchicalConfig& config);
 /// Compact host-to-host delay oracle.  Exact — not an approximation —
 /// because every host is a degree-1 leaf: the unique shortest path
 /// between distinct hosts is access(a) + shortest router path + access(b)
-/// (and 0 for a == b).  Built from router-only Dijkstras, so memory is
-/// R^2 doubles + one access delay per host instead of (R + M)^2: at 4096
-/// routers and 10^6 hosts that is ~134 MB + 12 MB against 8 TB.
+/// (and 0 for a == b).  The router part is a leaf-peeled DelayMatrix over
+/// the router-only graph, whose leaves are the single-homed stub routers,
+/// so Dijkstra runs over the transit core only; every entry equals a
+/// per-router dijkstra() bit for bit.  Memory is R^2 doubles + one access
+/// delay per host instead of (R + M)^2: at 4096 routers and 10^6 hosts
+/// that is ~134 MB + 12 MB against 8 TB.
 ///
 /// Works for ANY AttachedNetwork whose hosts are leaves (the Fig. 5 +
 /// attach_hosts output qualifies too); the legacy path keeps the full
@@ -92,32 +96,28 @@ class HostDelayOracle {
   /// One-way delay between host indices a, b (indices into net.hosts).
   Time between_hosts(std::size_t a, std::size_t b) const {
     if (a == b) return 0.0;
-    return access_[a] +
-           router_delay_[static_cast<std::size_t>(attach_[a]) * routers_ +
-                         static_cast<std::size_t>(attach_[b])] +
-           access_[b];
+    return access_[a] + router_delay_.at(attach_[a], attach_[b]) + access_[b];
   }
 
   /// One-way delay between two routers.
   Time between_routers(NodeId a, NodeId b) const {
-    return router_delay_[static_cast<std::size_t>(a) * routers_ +
-                         static_cast<std::size_t>(b)];
+    return router_delay_.at(a, b);
   }
 
-  std::size_t router_count() const { return routers_; }
+  std::size_t router_count() const { return router_delay_.size(); }
   std::size_t host_count() const { return access_.size(); }
 
   std::size_t memory_bytes() const {
-    return sizeof(*this) + router_delay_.capacity() * sizeof(Time) +
+    return sizeof(*this) +
+           router_count() * router_count() * sizeof(Time) +
            access_.capacity() * sizeof(Time) +
            attach_.capacity() * sizeof(NodeId);
   }
 
  private:
-  std::size_t routers_ = 0;
-  std::vector<Time> router_delay_;  ///< row-major R x R one-way delays
-  std::vector<Time> access_;        ///< per-host access-link delay
-  std::vector<NodeId> attach_;      ///< per-host attachment router
+  DelayMatrix router_delay_;    ///< R x R one-way delays
+  std::vector<Time> access_;    ///< per-host access-link delay
+  std::vector<NodeId> attach_;  ///< per-host attachment router
 };
 
 }  // namespace emcast::topology

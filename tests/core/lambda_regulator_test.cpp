@@ -1,8 +1,11 @@
 #include "core/lambda_regulator.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "netcalc/delay_bounds.hpp"
 
 namespace emcast::core {
 namespace {
@@ -88,28 +91,37 @@ TEST(LambdaBank, VacationBlocksOutputUntilNextTurn) {
 
 TEST(LambdaBank, DelayNeverExceedsLemma1StyleBound) {
   // Property: with conformant input (burst sigma then paced at rho), every
-  // packet's delay stays within ~2 lambda sigma / rho plus one packet time.
-  const Bits sigma = 1000;
+  // packet leaves within Lemma 1's 2 lambda sigma / rho (normalised by C)
+  // plus one packet time at C.
+  const Bits sigma = 1000, size = 200;
   const Rate rho = 200, C = 1000;
   Harness h(homogeneous3(sigma, rho), C);
-  std::vector<Time> in_times;
   // Burst sigma at t=0 on every flow, then steady packets at rate rho.
   for (int f = 0; f < 3; ++f) {
-    for (int i = 0; i < 5; ++i) h.bank->offer(make_packet(static_cast<FlowId>(f), 200.0));
+    for (int i = 0; i < 5; ++i) {
+      h.bank->offer(make_packet(static_cast<FlowId>(f), size));
+    }
   }
   for (int f = 0; f < 3; ++f) {
     for (int i = 1; i <= 30; ++i) {
       const Time t = i * 1.0;  // 200 bits/s = one 200-bit packet per second
-      h.sim.schedule_at(t, [&h, f] {
-        h.bank->offer(make_packet(static_cast<FlowId>(f), 200.0));
+      h.sim.schedule_at(t, [&h, f, t, size] {
+        sim::Packet p = make_packet(static_cast<FlowId>(f), size);
+        p.created = t;
+        h.bank->offer(p);
       });
     }
   }
+  h.sim.run(60.0);
+  ASSERT_EQ(h.out.size(), 105u);
   Time max_delay = 0;
-  h.bank = std::make_unique<LambdaRegulatorBank>(
-      h.sim, homogeneous3(sigma, rho), C, [](sim::Packet) {});
-  // Rebuild harness cleanly: simpler to re-create and re-offer.
-  SUCCEED();  // covered by the integration tests; structural assertions above
+  for (const auto& [at, p] : h.out) {
+    max_delay = std::max(max_delay, at - p.created);
+  }
+  const double bound =
+      netcalc::lemma1_regulator_delay(sigma / C, sigma / C, rho / C) + size / C;
+  EXPECT_GT(max_delay, 0.0);
+  EXPECT_LE(max_delay, bound);
 }
 
 TEST(LambdaBank, ThroughputKeepsUpWithArrivalRate) {

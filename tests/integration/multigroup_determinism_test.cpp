@@ -192,7 +192,9 @@ TEST(ShardedSimRegulated, WarmEngineReuseMatchesFreshSharded) {
     ASSERT_TRUE(warm_a2.trace == fresh_ref_a.trace)
         << shards << " shards: reused sharded engine must replay the "
                      "reference bit-for-bit";
-    if (shards > 1) EXPECT_GT(warm_a2.messages, 0u);
+    if (shards > 1) {
+      EXPECT_GT(warm_a2.messages, 0u);
+    }
   }
 }
 

@@ -89,7 +89,9 @@ TEST(ShardedSimTraceReplay, ReplayShardCountsMatchLive) {
     const auto replayed = run_multigroup(c);
     ASSERT_TRUE(replayed.trace == live.trace)
         << shards << " shards: replayed trace differs from live";
-    if (shards > 1) EXPECT_GT(replayed.messages, 0u);
+    if (shards > 1) {
+      EXPECT_GT(replayed.messages, 0u);
+    }
   }
 }
 

@@ -1,5 +1,7 @@
 #include "overlay/cluster_builder.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <set>
 
@@ -90,6 +92,151 @@ TEST(ClusterOnce, RejectsBadSizeRange) {
   ClusterConfig cfg2{5, 3, false};
   EXPECT_THROW(cluster_once(iota_ids(5), line_rtt(), cfg2, rng),
                std::invalid_argument);
+}
+
+// The straightforward clustering pass cluster_once() must reproduce
+// exactly: per cluster, copy the remaining members minus the seed and
+// partial_sort them with a comparator that calls the RTT oracle on both
+// sides.  Kept here, verbatim in behaviour, as the reference the faster
+// pass is held to bit for bit.
+std::size_t reference_elect_core(const std::vector<std::size_t>& members,
+                                 const RttFn& rtt,
+                                 const std::vector<std::size_t>* budget) {
+  const std::size_t need = members.size() - 1;
+  std::size_t best = members.front();
+  Time best_cost = kTimeInfinity;
+  bool found = false;
+  for (std::size_t candidate : members) {
+    if (budget != nullptr && (*budget)[candidate] < need) continue;
+    Time cost = 0;
+    for (std::size_t other : members) {
+      if (other != candidate) cost += rtt(candidate, other);
+    }
+    if (cost < best_cost) {
+      best_cost = cost;
+      best = candidate;
+      found = true;
+    }
+  }
+  if (!found && budget != nullptr) {
+    best = *std::max_element(members.begin(), members.end(),
+                             [&](std::size_t a, std::size_t b) {
+                               return (*budget)[a] < (*budget)[b];
+                             });
+  }
+  return best;
+}
+
+std::vector<Cluster> reference_cluster_once(const std::vector<std::size_t>& ids,
+                                            const RttFn& rtt,
+                                            const ClusterConfig& cfg,
+                                            util::Rng& rng) {
+  std::vector<std::size_t> unassigned = ids;
+  std::vector<Cluster> clusters;
+  while (!unassigned.empty()) {
+    std::size_t want;
+    if (unassigned.size() <= cfg.max_size) {
+      want = unassigned.size();
+    } else {
+      want = static_cast<std::size_t>(rng.uniform_int(
+          static_cast<std::int64_t>(cfg.min_size),
+          static_cast<std::int64_t>(cfg.max_size)));
+      if (unassigned.size() - want == 1) ++want;
+    }
+    std::size_t seed_pos = 0;
+    if (cfg.random_seeds && unassigned.size() > 1) {
+      seed_pos = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(unassigned.size()) - 1));
+    }
+    const std::size_t seed = unassigned[seed_pos];
+    std::vector<std::size_t> rest;
+    rest.reserve(unassigned.size() - 1);
+    for (std::size_t i = 0; i < unassigned.size(); ++i) {
+      if (i != seed_pos) rest.push_back(unassigned[i]);
+    }
+    const std::size_t take = std::min(want - 1, rest.size());
+    std::partial_sort(rest.begin(),
+                      rest.begin() + static_cast<std::ptrdiff_t>(take),
+                      rest.end(), [&](std::size_t a, std::size_t b) {
+                        return rtt(seed, a) < rtt(seed, b);
+                      });
+    Cluster c;
+    c.members.push_back(seed);
+    c.members.insert(c.members.end(), rest.begin(),
+                     rest.begin() + static_cast<std::ptrdiff_t>(take));
+    c.core = reference_elect_core(c.members, rtt, cfg.budget);
+    if (cfg.budget != nullptr) {
+      auto& left = (*cfg.budget)[c.core];
+      left -= std::min(left, c.members.size() - 1);
+    }
+    clusters.push_back(std::move(c));
+    unassigned.assign(rest.begin() + static_cast<std::ptrdiff_t>(take),
+                      rest.end());
+  }
+  return clusters;
+}
+
+// Random member orders under tie-heavy metrics (the line, a handful of
+// integer positions, a constant RTT), ordered and random seeds, with and
+// without a fan-out budget: every cluster's members in order, every core,
+// the budget left behind and the RNG stream position must equal the
+// reference's.  Ties are where a selection that is not partial_sort's
+// exact move sequence would pick different members.
+TEST(ClusterOnce, MatchesReferencePassExactly) {
+  constexpr std::size_t kUniverse = 160;
+  util::Rng gen(20240917);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::size_t n = static_cast<std::size_t>(gen.uniform_int(1, 70));
+    std::vector<std::size_t> ids(kUniverse);
+    std::iota(ids.begin(), ids.end(), 0);
+    std::shuffle(ids.begin(), ids.end(), gen);
+    ids.resize(n);
+
+    std::vector<Time> pos(kUniverse);
+    for (Time& p : pos) p = static_cast<Time>(gen.uniform_int(0, 5));
+    RttFn rtt;
+    switch (trial % 3) {
+      case 0: rtt = line_rtt(); break;
+      case 1:
+        rtt = [&pos](std::size_t a, std::size_t b) {
+          return std::abs(pos[a] - pos[b]);
+        };
+        break;
+      default: rtt = [](std::size_t, std::size_t) { return 1.0; }; break;
+    }
+
+    ClusterConfig cfg;
+    cfg.min_size = static_cast<std::size_t>(gen.uniform_int(2, 4));
+    cfg.max_size =
+        cfg.min_size + static_cast<std::size_t>(gen.uniform_int(0, 6));
+    cfg.random_seeds = (trial / 3) % 2 == 1;
+    const bool budgeted = (trial / 6) % 2 == 1;
+    std::vector<std::size_t> budget(kUniverse), ref_budget;
+    for (std::size_t& b : budget) {
+      b = static_cast<std::size_t>(gen.uniform_int(0, 10));
+    }
+    ref_budget = budget;
+
+    const std::uint64_t seed = gen.next();
+    util::Rng rng(seed), ref_rng(seed);
+    ClusterConfig ref_cfg = cfg;
+    cfg.budget = budgeted ? &budget : nullptr;
+    ref_cfg.budget = budgeted ? &ref_budget : nullptr;
+    const auto got = cluster_once(ids, rtt, cfg, rng);
+    const auto want = reference_cluster_once(ids, rtt, ref_cfg, ref_rng);
+
+    SCOPED_TRACE(::testing::Message()
+                 << "trial " << trial << ", n " << n << ", metric "
+                 << trial % 3 << ", random seeds " << cfg.random_seeds
+                 << ", budget " << budgeted);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t c = 0; c < got.size(); ++c) {
+      ASSERT_EQ(got[c].members, want[c].members) << "cluster " << c;
+      ASSERT_EQ(got[c].core, want[c].core) << "cluster " << c;
+    }
+    ASSERT_EQ(budget, ref_budget);
+    ASSERT_EQ(rng.next(), ref_rng.next());
+  }
 }
 
 TEST(Hierarchy, TerminatesAtSingleTop) {

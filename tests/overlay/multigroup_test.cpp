@@ -1,8 +1,13 @@
 #include "overlay/multigroup.hpp"
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "topology/backbone.hpp"
+#include "topology/hierarchical.hpp"
 
 namespace emcast::overlay {
 namespace {
@@ -92,6 +97,72 @@ TEST(MultiGroup, SchemeNames) {
   EXPECT_STREQ(to_string(TreeScheme::Nice), "NICE");
   EXPECT_STREQ(to_string(TreeScheme::CapacityAwareDsct), "cap-aware DSCT");
   EXPECT_STREQ(to_string(TreeScheme::CapacityAwareNice), "cap-aware NICE");
+}
+
+// FNV-1a over a tree's parent vector, then each member's children in
+// order, as hex: one value pins the shape and the forwarding order.
+std::string tree_hash(const MulticastTree& t) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (std::size_t i = 0; i < t.size(); ++i) mix(t.parent(i));
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    mix(t.children(i).size());
+    for (std::size_t c : t.children(i)) mix(c);
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(h));
+  return hex;
+}
+
+constexpr TreeScheme kSchemes[] = {
+    TreeScheme::Dsct, TreeScheme::Nice, TreeScheme::CapacityAwareDsct,
+    TreeScheme::CapacityAwareNice};
+
+void expect_pinned_trees(const topology::AttachedNetwork& net,
+                         const char* const (&pins)[4][3]) {
+  for (std::size_t s = 0; s < 4; ++s) {
+    MultiGroupConfig cfg;
+    cfg.scheme = kSchemes[s];
+    const MultiGroupNetwork mg(net, cfg);
+    for (int g = 0; g < 3; ++g) {
+      EXPECT_EQ(tree_hash(mg.tree(g)), pins[s][g])
+          << to_string(kSchemes[s]) << " group " << g;
+    }
+  }
+}
+
+// Golden trees: every builder on the paper's 665-host Fig. 5 network
+// (topology seed 42, dense DelayMatrix) and on a 10^4-host hierarchical
+// network (HostDelayOracle).  Set-up optimisations must leave every
+// parent pointer and every children order exactly as pinned here.
+TEST(MultiGroup, TreesMatchGoldenOnFig5Network) {
+  const auto net = topology::attach_hosts(topology::make_fig5_backbone(),
+                                          topology::HostAttachmentConfig{});
+  const char* const pins[4][3] = {
+      {"ff672546525b2759", "ce4d2a5a05feb1a1", "a50d6e10686275a6"},
+      {"0a39650e76acf3d6", "6c51cf61f470c7dd", "09d9f7ee9006cb40"},
+      {"c4ffefe3101b9569", "69d8d7333835d9dc", "2058a6ed84b0f2b4"},
+      {"f41cc92c37bd7445", "5168302bf2ef0c4f", "2483dc5e07a46c89"}};
+  expect_pinned_trees(net, pins);
+}
+
+TEST(MultiGroup, TreesMatchGoldenOnHierarchicalNetwork) {
+  topology::HierarchicalConfig hc;
+  hc.hosts = 10000;
+  hc.routers = 40;
+  const auto net = topology::make_hierarchical(hc);
+  const char* const pins[4][3] = {
+      {"28342bbe15ec5271", "f19023e2eabdee6f", "1f03c196e4964377"},
+      {"747573bbaede5f05", "71f13f17d29da5a1", "7ff5d4fd426ad9eb"},
+      {"d8710cc68fea7ddc", "e493f5a81075757a", "11fa82a5eab40515"},
+      {"17e9015c2626da35", "eb827699ced59fbf", "ae5e84c9014f850c"}};
+  expect_pinned_trees(net, pins);
 }
 
 }  // namespace

@@ -16,11 +16,11 @@ RttFn line_rtt() {
 }
 
 MulticastTree small_tree() {
-  //        0
-  //       / \
-  //      1   2
-  //     / \   \
-  //    3   4   5
+  // Root on the left:
+  //
+  //   0 -+- 1 -+- 3
+  //      |     `- 4
+  //      `- 2 --- 5
   constexpr auto npos = MulticastTree::npos;
   std::vector<Member> members(6);
   for (std::size_t i = 0; i < 6; ++i) members[i] = Member{i, static_cast<NodeId>(i)};

@@ -11,11 +11,11 @@ std::vector<Member> make_members(std::size_t n) {
   return m;
 }
 
-// Balanced tree:        0
-//                      / \
-//                     1   2
-//                    / \
-//                   3   4
+// Balanced tree, root on the left:
+//
+//   0 -+- 1 -+- 3
+//      |     `- 4
+//      `- 2
 MulticastTree make_sample() {
   constexpr auto npos = MulticastTree::npos;
   return MulticastTree(make_members(5), {npos, 0, 0, 1, 1}, 0, 3);

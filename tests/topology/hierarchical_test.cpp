@@ -166,6 +166,44 @@ TEST(HostDelayOracle, MatchesFullGraphDijkstra) {
   EXPECT_DOUBLE_EQ(oracle.between_hosts(5, 5), 0.0);
 }
 
+// Router to router, the oracle must equal a per-router dijkstra() over the
+// whole network bit for bit (EXPECT_EQ on doubles, not within an epsilon).
+// Single-homed stub routers are leaves of the router graph; with extra
+// uplinks they are not, and every router is a Dijkstra source.
+TEST(HostDelayOracle, RouterDelaysEqualDijkstraExactly) {
+  for (const std::size_t extra_uplinks : {0u, 2u}) {
+    HierarchicalConfig c;
+    c.routers = 48;
+    c.hosts = 300;
+    c.stub_extra_uplinks = extra_uplinks;
+    c.seed = 17;
+    const AttachedNetwork net = make_hierarchical(c);
+    const HostDelayOracle oracle(net);
+    std::size_t leaf_routers = 0;
+    for (std::size_t r = 0; r < c.routers; ++r) {
+      std::size_t router_links = 0;
+      for (const Edge& e : net.graph.neighbors(static_cast<NodeId>(r))) {
+        if (net.is_router(e.to)) ++router_links;
+      }
+      if (router_links == 1) ++leaf_routers;
+    }
+    if (extra_uplinks == 0) {
+      EXPECT_GT(leaf_routers, c.routers / 2);
+    } else {
+      EXPECT_LT(leaf_routers, c.routers / 4);
+    }
+    for (std::size_t a = 0; a < c.routers; ++a) {
+      const ShortestPathTree tree = dijkstra(net.graph, static_cast<NodeId>(a));
+      for (std::size_t b = 0; b < c.routers; ++b) {
+        EXPECT_EQ(oracle.between_routers(static_cast<NodeId>(a),
+                                         static_cast<NodeId>(b)),
+                  tree.distance[b])
+            << "uplinks " << extra_uplinks << ", routers " << a << "," << b;
+      }
+    }
+  }
+}
+
 // The oracle works for any leaf-attached network, not just hierarchical
 // output — the legacy Waxman + attach_hosts path qualifies too.
 TEST(HostDelayOracle, WorksOnLegacyAttachedNetworks) {
