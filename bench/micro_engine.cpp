@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the hot engine components: event
-// queue (both pending-set policies across several timestamp shapes), token
-// bucket, (σ, ρ, λ) bank, MUX, Dijkstra and tree builders.  These are
-// throughput references for anyone extending the simulator.
+// queue (across several timestamp shapes), token bucket, (σ, ρ, λ) bank,
+// MUX, Dijkstra and tree builders.  These are throughput references for
+// anyone extending the simulator.
 //
 // Event-queue scenario shapes.  A calendar queue's worth depends on the
 // timestamp distribution, so the push/pop benchmark runs four of them:
@@ -12,10 +12,6 @@
 //     sorting and rebucketing;
 //   - far-horizon: 90% near-term, 10% up to 10^4x further out — stresses
 //     the overflow year and year-advance rebuilds.
-// Each shape runs under the engine default (calendar, plain name — the
-// name the CI regression gate tracks) and under the heap fallback (the
-// `Heap` suffix), so every committed BENCH_pr<N>.json carries its own
-// interleaved A/B record.
 
 #include <benchmark/benchmark.h>
 
@@ -76,10 +72,9 @@ std::vector<double> far_horizon_times(std::size_t n) {
   return times;
 }
 
-template <typename Queue>
 void push_pop_all(benchmark::State& state, const std::vector<double>& times) {
   for (auto _ : state) {
-    Queue q;
+    sim::EventQueue q;
     for (double t : times) q.push(t, [] {});
     while (!q.empty()) benchmark::DoNotOptimize(q.pop().time);
   }
@@ -87,90 +82,50 @@ void push_pop_all(benchmark::State& state, const std::vector<double>& times) {
                           static_cast<std::int64_t>(times.size()));
 }
 
-// The plain names measure sim::EventQueue — the engine default the CI gate
-// tracks; the Heap variants are the interleaved A/B baseline.
 void BM_EventQueuePushPop(benchmark::State& state) {
-  push_pop_all<sim::EventQueue>(
-      state, uniform_times(static_cast<std::size_t>(state.range(0))));
+  push_pop_all(state, uniform_times(static_cast<std::size_t>(state.range(0))));
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(1024)->Arg(16384);
 
-void BM_EventQueuePushPopHeap(benchmark::State& state) {
-  push_pop_all<sim::HeapEventQueue>(
-      state, uniform_times(static_cast<std::size_t>(state.range(0))));
-}
-BENCHMARK(BM_EventQueuePushPopHeap)->Arg(1024)->Arg(16384);
-
 void BM_EventQueueSkewed(benchmark::State& state) {
-  push_pop_all<sim::EventQueue>(
-      state, skewed_times(static_cast<std::size_t>(state.range(0))));
+  push_pop_all(state, skewed_times(static_cast<std::size_t>(state.range(0))));
 }
 BENCHMARK(BM_EventQueueSkewed)->Arg(16384);
 
-void BM_EventQueueSkewedHeap(benchmark::State& state) {
-  push_pop_all<sim::HeapEventQueue>(
-      state, skewed_times(static_cast<std::size_t>(state.range(0))));
-}
-BENCHMARK(BM_EventQueueSkewedHeap)->Arg(16384);
-
 void BM_EventQueueBursty(benchmark::State& state) {
-  push_pop_all<sim::EventQueue>(
-      state, bursty_times(static_cast<std::size_t>(state.range(0))));
+  push_pop_all(state, bursty_times(static_cast<std::size_t>(state.range(0))));
 }
 BENCHMARK(BM_EventQueueBursty)->Arg(16384);
 
-void BM_EventQueueBurstyHeap(benchmark::State& state) {
-  push_pop_all<sim::HeapEventQueue>(
-      state, bursty_times(static_cast<std::size_t>(state.range(0))));
-}
-BENCHMARK(BM_EventQueueBurstyHeap)->Arg(16384);
-
 void BM_EventQueueFarHorizon(benchmark::State& state) {
-  push_pop_all<sim::EventQueue>(
-      state, far_horizon_times(static_cast<std::size_t>(state.range(0))));
+  push_pop_all(state,
+               far_horizon_times(static_cast<std::size_t>(state.range(0))));
 }
 BENCHMARK(BM_EventQueueFarHorizon)->Arg(16384);
-
-void BM_EventQueueFarHorizonHeap(benchmark::State& state) {
-  push_pop_all<sim::HeapEventQueue>(
-      state, far_horizon_times(static_cast<std::size_t>(state.range(0))));
-}
-BENCHMARK(BM_EventQueueFarHorizonHeap)->Arg(16384);
 
 // Self-rescheduling functor: the idiomatic shape for recurring events on
 // the allocation-free engine (a recursive std::function would wrap a heap
 // callable inside the inline capture).
-template <typename Sim>
 struct ChurnTick {
-  Sim* sim;
+  sim::Simulator* sim;
   int* count;
   void operator()() const {
     if (++*count < 10000) sim->schedule_in(0.001, ChurnTick{sim, count});
   }
 };
 
-template <typename Sim>
-void event_churn(benchmark::State& state) {
+void BM_SimulatorEventChurn(benchmark::State& state) {
   for (auto _ : state) {
-    Sim sim;
+    sim::Simulator sim;
     int count = 0;
-    sim.schedule_in(0.001, ChurnTick<Sim>{&sim, &count});
+    sim.schedule_in(0.001, ChurnTick{&sim, &count});
     sim.run();
     benchmark::DoNotOptimize(count);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           10000);
 }
-
-void BM_SimulatorEventChurn(benchmark::State& state) {
-  event_churn<sim::Simulator>(state);
-}
 BENCHMARK(BM_SimulatorEventChurn);
-
-void BM_SimulatorEventChurnHeap(benchmark::State& state) {
-  event_churn<sim::HeapSimulator>(state);
-}
-BENCHMARK(BM_SimulatorEventChurnHeap);
 
 void BM_TokenBucketOffer(benchmark::State& state) {
   for (auto _ : state) {

@@ -4,11 +4,6 @@
 //
 //   BM_ShardedScalingRef/<hosts>          single-threaded Simulator
 //   BM_ShardedScaling/<hosts>/<shards>    ShardedSimulator, auto threads
-//   BM_ShardedScalingUnbatched/<hosts>/<shards>
-//       the same runs with per-copy deliver() instead of deliver_batch
-//       trains: the in-run A/B baseline for the batch-path gate
-//       (bench_compare.py --ab-only --ab-suffix Unbatched).  Traces are
-//       byte-identical either way; only scheduling mechanics differ.
 //
 // Manual timing: each iteration rebuilds the run but the clock covers
 // only the run() itself (overlay construction is cached and excluded),
@@ -65,11 +60,10 @@ BENCHMARK(BM_ShardedScalingRef)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-void run_scaling(benchmark::State& state, bool batch_delivery) {
+void BM_ShardedScaling(benchmark::State& state) {
   ShardedMultigroupConfig cfg =
       scaled_config(static_cast<std::size_t>(state.range(0)));
   cfg.shards = static_cast<std::size_t>(state.range(1));
-  cfg.batch_delivery = batch_delivery;
   std::uint64_t events = 0;
   for (auto _ : state) {
     const auto r = run_sharded_multigroup(cfg);
@@ -88,17 +82,7 @@ void run_scaling(benchmark::State& state, bool batch_delivery) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 
-void BM_ShardedScaling(benchmark::State& state) { run_scaling(state, true); }
 BENCHMARK(BM_ShardedScaling)
-    ->ArgsProduct({{1024, 4096}, {1, 2, 4, 8}})
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-void BM_ShardedScalingUnbatched(benchmark::State& state) {
-  run_scaling(state, false);
-}
-BENCHMARK(BM_ShardedScalingUnbatched)
     ->ArgsProduct({{1024, 4096}, {1, 2, 4, 8}})
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond)
@@ -108,9 +92,6 @@ BENCHMARK(BM_ShardedScalingUnbatched)
 //
 //   BM_HostScaleSweep/<hosts>/<shards>    hierarchical underlay + compact
 //                                         host state (the 10^6-host path)
-//   BM_HostScaleSweepUnbatched/...        per-copy deliver() twin: the
-//       in-run A/B baseline for the pair-ratio gate (bench_compare.py
-//       --ab-only --ab-suffix Unbatched), sized for CI at 10^4 hosts.
 //
 // The per-host counters are the acceptance axis of the scale subsystem:
 //   events_per_host   events/s/host — should stay ~flat as N grows
@@ -120,8 +101,7 @@ BENCHMARK(BM_ShardedScalingUnbatched)
 //   provider_mb       delay-provider footprint (compact oracle: R² + M,
 //                     not (R + M)²).
 // Router count scales ~N/256 to hold the mean attachment-domain size.
-ShardedMultigroupConfig sweep_config(std::size_t hosts, std::size_t shards,
-                                     bool batch_delivery) {
+ShardedMultigroupConfig sweep_config(std::size_t hosts, std::size_t shards) {
   ShardedMultigroupConfig cfg;
   cfg.kind = emcast::experiments::TrafficKind::Audio;
   cfg.groups = 3;
@@ -131,15 +111,14 @@ ShardedMultigroupConfig sweep_config(std::size_t hosts, std::size_t shards,
   cfg.warmup = 0.1;
   cfg.seed = 11;
   cfg.shards = shards;
-  cfg.batch_delivery = batch_delivery;
   cfg.sample_deliveries = 128;
   return cfg;
 }
 
-void run_host_sweep(benchmark::State& state, bool batch_delivery) {
+void BM_HostScaleSweep(benchmark::State& state) {
   const ShardedMultigroupConfig cfg =
       sweep_config(static_cast<std::size_t>(state.range(0)),
-                   static_cast<std::size_t>(state.range(1)), batch_delivery);
+                   static_cast<std::size_t>(state.range(1)));
   std::uint64_t events = 0;
   for (auto _ : state) {
     const auto r = run_sharded_multigroup(cfg);
@@ -157,19 +136,7 @@ void run_host_sweep(benchmark::State& state, bool batch_delivery) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 
-void BM_HostScaleSweep(benchmark::State& state) {
-  run_host_sweep(state, true);
-}
 BENCHMARK(BM_HostScaleSweep)
-    ->ArgsProduct({{1024, 4096, 10000}, {1, 4}})
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-void BM_HostScaleSweepUnbatched(benchmark::State& state) {
-  run_host_sweep(state, false);
-}
-BENCHMARK(BM_HostScaleSweepUnbatched)
     ->ArgsProduct({{1024, 4096, 10000}, {1, 4}})
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond)

@@ -454,27 +454,15 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
       }
       return;
     }
-    // Batch the fan-out: one deliver_batch per chunk instead of one
-    // kernel/mailbox touch per child.  Arrival times are computed from
-    // the same float operands in the same order as the per-child
-    // deliver() loop, and deliver_batch fires in index order — the
-    // traces stay byte-identical.
-    constexpr std::size_t kFanChunk = 32;
-    sim::DeliveryItem train[kFanChunk];
-    for (std::size_t j = 0; j < children.size(); j += kFanChunk) {
-      const std::size_t m = std::min(kFanChunk, children.size() - j);
-      for (std::size_t c = 0; c < m; ++c) {
-        const std::size_t child = children[j + c];
-        const Time replication =
-            static_cast<double>(j + c) * p.size / capacity;
-        const Time overhead =
-            config.fwd_overhead + p.size / config.fwd_cpu_rate;
-        const Time prop = mg.member_delay(h, child);
-        train[c].packet = p;
-        train[c].at = ctx.now() + (replication + overhead + prop);
-        train[c].host = static_cast<HostId>(child);
-      }
-      ctx.deliver_batch(train, m);
+    // The j-th copy waits j serialisation slots, then pays the forwarding
+    // overhead and the underlay propagation.
+    const Time overhead = config.fwd_overhead + p.size / config.fwd_cpu_rate;
+    for (std::size_t j = 0; j < children.size(); ++j) {
+      const std::size_t child = children[j];
+      const Time replication = static_cast<double>(j) * p.size / capacity;
+      const Time prop = mg.member_delay(h, child);
+      ctx.deliver(static_cast<HostId>(child), p,
+                  ctx.now() + (replication + overhead + prop));
     }
   };
   // Pipeline entry: regulated hosts queue into their AdaptiveHost;

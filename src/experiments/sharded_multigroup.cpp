@@ -69,7 +69,6 @@ struct Model {
   Rate fwd_cpu_rate = 0;
   bool collect_trace = false;
   std::size_t sample_deliveries = 0;
-  bool batch_delivery = true;
   topology::HostTable hosts;  ///< uplink + busy-until lanes
   std::vector<ShardCtx> ctx;
 };
@@ -88,48 +87,19 @@ void forward(Model& model, sim::SimContext ctx, std::size_t host,
   const Time now = ctx.now();
   Time& busy = model.hosts.busy_until(host);
   const Rate uplink = model.hosts.uplink(host);
-  if (!model.batch_delivery) {
-    // Per-copy baseline (the pre-batch path): identical float operands in
-    // identical order, so the canonical trace matches the batched path to
-    // the bit — kept as the A/B baseline the batch-speedup gate divides
-    // against.
-    for (const std::size_t child : children) {
-      const Time depart = std::max(now, busy) + p.size / uplink;
-      busy = depart;
-      const Time delay = model.fwd_overhead + p.size / model.fwd_cpu_rate +
-                         model.mg->member_delay(host, child);
-      sim::Packet copy = p;
-      ++copy.hops;
-      copy.hop_arrival = depart + delay;
-      ctx.deliver(static_cast<HostId>(child), copy, depart + delay);
-    }
-    return;
-  }
-  // Batched fan-out: one deliver_batch per chunk of children instead of
-  // one kernel/mailbox touch per copy.  Arrival times come from the same
-  // float operands in the same order as a per-child deliver() loop, and
-  // deliver_batch preserves index order, so traces are byte-identical.
-  constexpr std::size_t kFanChunk = 32;
-  sim::DeliveryItem train[kFanChunk];
-  for (std::size_t j = 0; j < children.size(); j += kFanChunk) {
-    const std::size_t m = std::min(kFanChunk, children.size() - j);
-    for (std::size_t c = 0; c < m; ++c) {
-      const std::size_t child = children[j + c];
-      const Time depart = std::max(now, busy) + p.size / uplink;
-      busy = depart;
-      // Cross-shard safety: delay >= fwd_overhead + member_delay >= the
-      // pair lookahead (fwd_overhead + min cross-edge delay over the
-      // pair) by float-addition monotonicity, so arrival >= now + the
-      // scheduler's bound always holds.
-      const Time delay = model.fwd_overhead + p.size / model.fwd_cpu_rate +
-                         model.mg->member_delay(host, child);
-      train[c].packet = p;
-      ++train[c].packet.hops;
-      train[c].at = depart + delay;
-      train[c].packet.hop_arrival = train[c].at;
-      train[c].host = static_cast<HostId>(child);
-    }
-    ctx.deliver_batch(train, m);
+  for (const std::size_t child : children) {
+    const Time depart = std::max(now, busy) + p.size / uplink;
+    busy = depart;
+    // Cross-shard safety: delay >= fwd_overhead + member_delay >= the
+    // pair lookahead (fwd_overhead + min cross-edge delay over the pair)
+    // by float-addition monotonicity, so arrival >= now + the
+    // scheduler's bound always holds.
+    const Time delay = model.fwd_overhead + p.size / model.fwd_cpu_rate +
+                       model.mg->member_delay(host, child);
+    sim::Packet copy = p;
+    ++copy.hops;
+    copy.hop_arrival = depart + delay;
+    ctx.deliver(static_cast<HostId>(child), copy, depart + delay);
   }
 }
 
@@ -157,7 +127,6 @@ ShardedMultigroupResult run_sharded_multigroup(
   model.fwd_cpu_rate = config.fwd_cpu_rate;
   model.collect_trace = config.collect_trace;
   model.sample_deliveries = config.sample_deliveries;
-  model.batch_delivery = config.batch_delivery;
   model.hosts.resize(n);
   // Per-host uplink capacity: sized so the host's carried replication
   // load (one flow copy per child, priced at the child group's rate)

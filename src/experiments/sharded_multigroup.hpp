@@ -65,12 +65,6 @@ struct ShardedMultigroupConfig {
   /// Bounded deterministic k-min delivery sample (scale stand-in for
   /// collect_trace; byte-identical across shard/thread counts).  0 = off.
   std::size_t sample_deliveries = 0;
-  /// Fan-out through deliver_batch trains (the production path).  false
-  /// issues one deliver() per child from the same float operands in the
-  /// same order — byte-identical traces, one kernel/mailbox touch per
-  /// copy — and exists as the in-run A/B baseline for the batch-path
-  /// speedup gate (bench/sharded_scaling.cpp, --ab-suffix Unbatched).
-  bool batch_delivery = true;
 };
 
 /// One delivery, exact to the bit (see experiments/delivery_trace.hpp).

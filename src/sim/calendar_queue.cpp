@@ -31,129 +31,6 @@ void CalendarPendingSet::sort_bucket(std::size_t b) {
   heads_[b] = idx_scratch_[0] | kSortedBit;
 }
 
-void CalendarPendingSet::insert_batch(const PendingEntry* entries,
-                                      std::size_t count) {
-  std::size_t i = 0;
-  while (i < count) {
-    const PendingEntry cur = entries[i];
-    if (size_ == 0) {
-      front_ = cur;  // the empty->one transition stays structure-free
-      size_ = 1;
-      ++i;
-      continue;
-    }
-    if (entry_before(cur, front_)) {
-      // New global minimum: same exchange as push().  The displaced front
-      // is >= everything structured, and later batch entries cannot beat
-      // `cur` again without starting a new (descending) run.
-      insert_structure(front_);
-      front_ = cur;
-      ++size_;
-      ++i;
-      continue;
-    }
-    // Maximal nondecreasing run starting at i.  Every entry of the run is
-    // >= entries[i] >= front_ in (time_key, seq) order — batch sequence
-    // numbers ascend with the index — so the whole run bypasses the front
-    // register and goes straight to the structure.
-    std::size_t j = i + 1;
-    while (j < count && entries[j].time_key >= entries[j - 1].time_key) ++j;
-    insert_run(entries + i, j - i);
-    i = j;
-  }
-}
-
-void CalendarPendingSet::insert_run(const PendingEntry* e, std::size_t m) {
-  cursor_ = kNoCursor;
-  // Route runs that can change the mode or the year geometry through the
-  // per-entry path: mode promotion, bucket growth, year re-basing and the
-  // empty-structure re-aim are all rare, and insert_structure already
-  // implements each transition with the strong guarantee.
-  const bool slow =
-      small_mode_
-          ? size_ + m > kSmallModeMax
-          : heads_.empty() ||
-                (size_ + m > 2 * heads_.size() &&
-                 heads_.size() < kMaxBuckets) ||
-                e[0].time_key < year_base_ ||
-                (in_buckets_ == 0 && overflow_.empty());
-  if (slow) [[unlikely]] {
-    for (std::size_t k = 0; k < m; ++k) {
-      insert_structure(e[k]);
-      ++size_;
-    }
-    return;
-  }
-  if (small_mode_) {
-    overflow_.reserve(size_ + m);  // one growth check for the whole run
-    for (std::size_t k = 0; k < m; ++k) {
-      overflow_.push(e[k]);
-      ++size_;
-    }
-    return;
-  }
-  // Calendar fast path: below the grow threshold and inside the year's
-  // base, so nothing below can rebuild.  Make the node-pool growth a
-  // single up-front reservation, then link day-chunks nothrow.  (Between
-  // rebuilds the pool normally already holds 2x the bucket count — the
-  // reserve only ever allocates in the saturated kMaxBuckets regime.)
-  if (pool_.size() + m > pool_.capacity()) {
-    pool_.reserve(std::max(2 * pool_.capacity(), pool_.size() + m));
-  }
-  std::size_t k = 0;
-  while (k < m && e[k].time_key < year_end_) {
-    // Chunk of consecutive entries sharing one day: one bucket head
-    // read/write and one bitmap/hint update for the whole chunk.
-    const std::size_t b = bucket_of(e[k].time_key);
-    std::size_t c = k + 1;
-    while (c < m && e[c].time_key < year_end_ &&
-           bucket_of(e[c].time_key) == b) {
-      ++c;
-    }
-    link_run(b, e + k, c - k);
-    size_ += c - k;
-    k = c;
-  }
-  // Nondecreasing run: once a key reaches year_end_, the tail is all
-  // overflow-year territory.
-  for (; k < m; ++k) {
-    overflow_.push(e[k]);
-    ++size_;
-  }
-}
-
-void CalendarPendingSet::link_run(std::size_t b, const PendingEntry* e,
-                                  std::size_t m) noexcept {
-  // Build the chunk chain front-to-back (the entries are already in
-  // (time_key, seq) order), then prepend it whole.
-  const std::uint32_t first = alloc_node();
-  pool_[first].entry = e[0];
-  std::uint32_t prev = first;
-  for (std::size_t k = 1; k < m; ++k) {
-    const std::uint32_t node = alloc_node();
-    pool_[node].entry = e[k];
-    pool_[prev].next = node;
-    prev = node;
-  }
-  const std::uint32_t head = heads_[b];
-  if (head == kNil) {
-    pool_[prev].next = kNil;
-    heads_[b] = first | kSortedBit;  // the chunk itself is sorted
-    occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
-  } else {
-    const std::uint32_t head_idx = head & kIndexMask;
-    pool_[prev].next = head_idx;
-    // Same rule as link_entry, applied once per chunk: prepending a whole
-    // sorted chunk below the old minimum keeps a sorted chain sorted.
-    const bool stays_sorted =
-        (head & kSortedBit) != 0 &&
-        entry_before(pool_[prev].entry, pool_[head_idx].entry);
-    heads_[b] = first | (stays_sorted ? kSortedBit : 0u);
-  }
-  if (b < hint_) hint_ = b;
-  in_buckets_ += m;
-}
-
 void CalendarPendingSet::clear() noexcept {
   // pool_.clear() drops every chain at once (nodes are trivially
   // destructible) while the vector keeps its capacity, so the next
@@ -310,7 +187,7 @@ void CalendarPendingSet::rebuild(const PendingEntry* extra) {
   // Until the next grow rebuild the population is bounded by twice the
   // bucket count, and how it splits between chains and overflow depends on
   // the keys — so every arena is reserved to that count-driven bound.
-  // This keeps the whole policy allocation-free between rebuilds and makes
+  // This keeps the whole set allocation-free between rebuilds and makes
   // steady-state capacities a function of operation counts alone.
   const std::size_t staging =
       std::max(n, nbuckets < kMaxBuckets ? 2 * nbuckets : n);

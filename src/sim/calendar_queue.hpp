@@ -1,5 +1,5 @@
 #pragma once
-// Calendar-queue pending-set policy: amortised O(1) push/pop over the
+// Calendar-queue pending set: amortised O(1) push/pop over the
 // order-preserving integer time image, replacing the O(log n) heap walk on
 // the engine's hottest path.
 //
@@ -34,14 +34,13 @@
 //
 // Determinism.  Pop order is exactly (time_key, seq) regardless of bucket
 // geometry: equal keys share a bucket, earlier days live in earlier
-// buckets, and the overflow year only drains when the buckets are empty —
-// so the heap policy and this policy produce byte-identical event orders.
+// buckets, and the overflow year only drains when the buckets are empty.
 //
 // Size-adaptive small mode.  Below ~1k pending events the per-op bucket
 // bookkeeping loses to an L2-resident heap sift (the ~10% small-population
-// gap vs. PendingHeap), so the policy runs *population-adaptive*: while
+// gap vs. PendingHeap), so the set runs *population-adaptive*: while
 // the pending count stays under kSmallModeMax, every structured entry
-// lives in the overflow heap (the PendingHeap policy path) and the bucket
+// lives in the overflow heap (a plain PendingHeap) and the bucket
 // machinery is never touched; crossing the threshold rebuilds into the
 // calendar layout, and draining below kSmallModeMin (wide hysteresis, no
 // thrash) collapses back.  The front register works identically in both
@@ -70,18 +69,6 @@ class CalendarPendingSet {
 
   void push(PendingEntry e);
 
-  /// Insert `count` entries with one front-register settlement and one
-  /// bucket-head update per monotone run, instead of per entry — the
-  /// batch-schedule fast path (BasicEventQueue::push_batch).
-  ///
-  /// Precondition: entries carry strictly ascending sequence numbers in
-  /// index order (push_batch assigns them), so within any nondecreasing
-  /// time_key run the (time_key, seq) order equals the index order.  The
-  /// resulting structure pops the exact order a loop of push() calls
-  /// would produce.  On a throw (allocation only), a PREFIX of the batch
-  /// has been inserted and size() accounts exactly for it.
-  void insert_batch(const PendingEntry* entries, std::size_t count);
-
   /// The global minimum, O(1): it always lives in the front register.
   const PendingEntry& min() {
     assert(size_ != 0 && "min on empty calendar queue");
@@ -91,7 +78,7 @@ class CalendarPendingSet {
 
   /// Drop every entry but keep all arenas warm (node pool, bucket heads,
   /// bitmap, overflow buffer, scratch): the warm-reuse path of the engine.
-  /// The policy returns to its fresh logical state — small mode, no year —
+  /// The set returns to its fresh logical state — small mode, no year —
   /// so the day width is re-derived lazily by the next promotion rebuild,
   /// from the *new* run's population, not the old one's.  Telemetry
   /// counters (rebuilds, year advances, mode switches) restart at zero.
@@ -167,13 +154,6 @@ class CalendarPendingSet {
 
   void link_entry(PendingEntry e);  ///< chain insert, no size_ change
   void insert_structure(PendingEntry e);  ///< bucket/overflow insert
-  /// Bulk-insert a nondecreasing run of entries (all >= front_) into the
-  /// structure, updating size_ as it goes; the batch fast path.
-  void insert_run(const PendingEntry* e, std::size_t m);
-  /// Chain `m` already-(time_key, seq)-sorted entries into bucket `b`
-  /// with one head read/write.  Nothrow (pool capacity pre-reserved).
-  void link_run(std::size_t b, const PendingEntry* e,
-                std::size_t m) noexcept;
   PendingEntry structure_pop();  ///< earliest bucket/overflow entry
   void collapse_to_small();  ///< move every bucket entry into the heap
   std::size_t find_first_occupied() const;

@@ -94,33 +94,23 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
   }
   // Cross-shard arrivals: the drain handler only schedules locally (the
   // ShardMsgHandler contract); the model's DeliverFn then fires at the
-  // stamped arrival time exactly like a local deliver() would.  The
-  // batch flavour sees the round's whole sorted message array — a single
-  // nondecreasing deliver_at run — and turns it into chunked
-  // schedule_batch calls: sequence numbers land in the same sorted order
-  // the per-message handler would assign, one calendar touch per chunk.
-  ShardBatchMsgHandler on_batch =
-      [this](Shard& shard, const CrossShardMsg* msgs, std::size_t count) {
-        const detail::ContextBackend* b = &backends_[shard.index()];
-        constexpr std::size_t kChunk = 64;
-        Time times[kChunk];
-        for (std::size_t i = 0; i < count; i += kChunk) {
-          const std::size_t m = std::min(kChunk, count - i);
-          for (std::size_t c = 0; c < m; ++c) {
-            times[c] = msgs[i + c].deliver_at;
-          }
-          const CrossShardMsg* chunk = msgs + i;
-          b->sim->schedule_batch(times, m, [b, chunk](std::size_t c) {
-            return [b, host = chunk[c].dest_host, p = chunk[c].packet] {
-              (*b->on_deliver)(SimContext(b), host, p);
-            };
-          });
-        }
-      };
+  // stamped arrival time exactly like a local deliver() would.  The drain
+  // arrives sorted, so the local sequence numbers follow the
+  // deterministic (deliver_at, source shard, seq) order.
+  ShardMsgHandler on_drain = [this](Shard& shard,
+                                    std::span<const CrossShardMsg> msgs) {
+    const detail::ContextBackend* b = &backends_[shard.index()];
+    for (const CrossShardMsg& m : msgs) {
+      b->sim->schedule_at(m.deliver_at,
+                          [b, host = m.dest_host, p = m.packet] {
+                            (*b->on_deliver)(SimContext(b), host, p);
+                          });
+    }
+  };
   if (sharded_ != nullptr) {
-    sharded_->set_batch_message_handler(std::move(on_batch));
+    sharded_->set_message_handler(std::move(on_drain));
   } else {
-    process_->set_batch_message_handler(std::move(on_batch));
+    process_->set_message_handler(std::move(on_drain));
   }
 }
 

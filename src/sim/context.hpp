@@ -6,7 +6,7 @@
 // — instead of holding a concrete `Simulator&`.  The same component code
 // then runs unchanged on the single-threaded kernel and inside one shard
 // of a ShardedSimulator: scheduling always targets the *local* kernel (a
-// shard's kernel IS a full BasicSimulator, so schedule_in/at compile to
+// shard's kernel IS a full Simulator, so schedule_in/at compile to
 // the exact same inlined push with zero extra dispatch), and the one
 // genuinely location-dependent operation — handing a packet to another
 // host — goes through `deliver()`, which resolves the destination:
@@ -41,7 +41,6 @@
 //     of its own — local scheduling order is the call order, cross-shard
 //     drains keep the (deliver_at, source shard, seq) merge order.
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -104,7 +103,7 @@ class SimContext {
   Time now() const { return sim_->now(); }
 
   /// Schedule fn at now()+delay on the local kernel (see
-  /// BasicSimulator::schedule_in for the zero-allocation contract).
+  /// Simulator::schedule_in for the zero-allocation contract).
   template <typename F>
   EventHandle schedule_in(Time delay, F&& fn) const {
     return sim_->schedule_in(delay, std::forward<F>(fn));
@@ -114,17 +113,6 @@ class SimContext {
   template <typename F>
   EventHandle schedule_at(Time t, F&& fn) const {
     return sim_->schedule_at(t, std::forward<F>(fn));
-  }
-
-  /// Batch-schedule `count` events on the local kernel with one calendar
-  /// touch per monotone time run (see BasicSimulator::schedule_batch).
-  /// make(i) returns the i-th event's callable; batch events are not
-  /// individually cancellable.  Timer trains (periodic sources) use this
-  /// to amortise the per-event queue walk.
-  template <typename Make>
-  void schedule_batch(const Time* times, std::size_t count,
-                      Make&& make) const {
-    sim_->schedule_batch(times, count, std::forward<Make>(make));
   }
 
   /// Cancel a previously scheduled event (idempotent, safe after fire).
@@ -191,18 +179,6 @@ class SimContext {
     }
   }
 
-  /// Batch flavour of deliver(): hand over a whole train of packet
-  /// copies in one call.  Exactly equivalent to calling deliver(items[i])
-  /// in index order — local arrivals keep their scheduling order
-  /// (sequence numbers are assigned in index order) and remote arrivals
-  /// keep their per-mailbox post order — but consecutive same-destination
-  /// runs cost one kernel/mailbox touch each: a local run becomes one
-  /// schedule_batch (one calendar touch per monotone time run), a remote
-  /// run one Shard::post_batch (one ring publish + one spill check).
-  /// Models fanning a packet out to many children (the multigroup
-  /// forward path) fill a small DeliveryItem array and call this.
-  void deliver_batch(const DeliveryItem* items, std::size_t n) const;
-
   /// Escape hatch to the concrete local kernel (telemetry, tests).
   Simulator& kernel() const { return *sim_; }
 
@@ -216,53 +192,6 @@ class SimContext {
 };
 
 static_assert(sizeof(SimContext) == 16, "SimContext is a two-pointer handle");
-
-inline void SimContext::deliver_batch(const DeliveryItem* items,
-                                      std::size_t n) const {
-  const detail::ContextBackend* b = backend_;
-  assert(b != nullptr && b->on_deliver != nullptr &&
-         "SimContext::deliver_batch needs an Engine-built context "
-         "(set_deliver installed)");
-  std::size_t i = 0;
-  while (i < n) {
-    assert((b->shard_of == nullptr ||
-            static_cast<std::size_t>(items[i].host) < b->shard_of_size) &&
-           "deliver_batch: host beyond the engine's shard_of map");
-    const std::uint32_t dest =
-        b->shard_of != nullptr ? b->shard_of[items[i].host] : b->index;
-    // Extend the run while consecutive items share the destination shard.
-    std::size_t j = i + 1;
-    while (j < n) {
-      assert((b->shard_of == nullptr ||
-              static_cast<std::size_t>(items[j].host) < b->shard_of_size) &&
-             "deliver_batch: host beyond the engine's shard_of map");
-      const std::uint32_t d =
-          b->shard_of != nullptr ? b->shard_of[items[j].host] : b->index;
-      if (d != dest) break;
-      ++j;
-    }
-    if (b->shard == nullptr || dest == b->index) {
-      // Local run: one schedule_batch per fixed-size chunk (the times
-      // array lives on the stack; the capture is the same fat
-      // (backend, host, Packet) slot deliver() uses).
-      constexpr std::size_t kChunk = 64;
-      Time times[kChunk];
-      for (std::size_t k = i; k < j; k += kChunk) {
-        const std::size_t m = std::min(kChunk, j - k);
-        for (std::size_t c = 0; c < m; ++c) times[c] = items[k + c].at;
-        const DeliveryItem* chunk = items + k;
-        sim_->schedule_batch(times, m, [b, chunk](std::size_t c) {
-          return [b, host = chunk[c].host, p = chunk[c].packet] {
-            (*b->on_deliver)(SimContext(b), host, p);
-          };
-        });
-      }
-    } else {
-      b->shard->post_batch(dest, items + i, j - i);
-    }
-    i = j;
-  }
-}
 
 /// Which kernel an Engine stands up.  Purely a performance/scale knob:
 /// models written against SimContext produce byte-identical traces on

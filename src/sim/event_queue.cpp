@@ -5,19 +5,18 @@
 
 namespace emcast::sim {
 
-void EventQueueBase::throw_nonfinite_time() {
+void EventQueue::throw_nonfinite_time() {
   throw std::invalid_argument("EventQueue::push: non-finite time");
 }
 
-void EventQueueBase::throw_capacity_exhausted(const char* what) {
+void EventQueue::throw_capacity_exhausted(const char* what) {
   throw std::length_error(std::string("EventQueue: ") + what +
                           " space exhausted");
 }
 
-void EventQueueBase::teardown_slots() noexcept {
+void EventQueue::teardown_slots() noexcept {
   // All handles go stale first, so reentrant cancel()/pending() from the
-  // capture destructors below are no-ops (and can never trip the
-  // compaction hook of a derived class that is already being destroyed).
+  // capture destructors below are no-ops.
   for (auto& occupants : occupant_) {
     for (auto& word : occupants) word = kVacantTag | kNoSlot;
   }
@@ -34,7 +33,7 @@ void EventQueueBase::teardown_slots() noexcept {
   }
 }
 
-void EventQueueBase::reset_slots() noexcept {
+void EventQueue::reset_slots() noexcept {
   // The two-phase teardown (every handle goes stale before any capture
   // destructor runs) is exactly teardown_slots; then, instead of leaving
   // the arrays behind for the destructor, every slot of each pool is
@@ -54,7 +53,7 @@ void EventQueueBase::reset_slots() noexcept {
   // next_seq_ is deliberately NOT rewound (epoch safety — see the header).
 }
 
-void EventQueueBase::cancel_handle(const EventHandle& h) {
+void EventQueue::cancel_handle(const EventHandle& h) {
   if (h.queue_ != this || occupant(h.slot_) != h.seq_) {
     return;  // already fired/cancelled (or the slot was recycled)
   }
@@ -79,16 +78,20 @@ void EventQueueBase::cancel_handle(const EventHandle& h) {
     compact_fn(index) = nullptr;
   }
   release_slot(slot);
-  // Threshold test inline (dead vs. the floor and the live population, both
-  // base-class state); the virtual hop is paid only for actual compactions.
   if (dead_pending_ > kCompactFloor && dead_pending_ > live_count_) {
-    maybe_compact();
+    compact();
   }
 }
 
-// Anchor the template instantiations the library itself ships, so every
-// client does not re-instantiate the full queue.
-template class BasicEventQueue<PendingHeap>;
-template class BasicEventQueue<CalendarPendingSet>;
+void EventQueue::compact() {
+  pending_.remove_if(
+      [this](const PendingEntry& e) { return entry_dead(e); });
+  dead_pending_ = 0;
+}
+
+void EventQueue::clear() noexcept {
+  reset_slots();
+  pending_.clear();
+}
 
 }  // namespace emcast::sim

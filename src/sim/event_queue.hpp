@@ -2,22 +2,13 @@
 // Pending-event set for the discrete-event engine, built for zero
 // steady-state heap allocations and minimal cache traffic.
 //
-// The engine is split in two layers:
-//
-//   - EventQueueBase owns the *callback storage* and the handle semantics:
-//     the compact/fat callback slabs, the occupant words, the free lists,
-//     the sequence counter and lazy cancellation.  EventHandle only ever
-//     talks to this layer.
-//   - A *pending-set policy* owns the ordering structure over 16-byte
-//     PendingEntry records (sim/pending_entry.hpp).  Two policies exist:
-//     PendingHeap (sim/pending_heap.hpp), the cache-line-aligned 4-ary
-//     min-heap, and CalendarPendingSet (sim/calendar_queue.hpp), the
-//     amortised-O(1) calendar queue with a min-heap overflow year.
-//
-// BasicEventQueue<Policy> glues the two at compile time, so the hot
-// push/pop path stays fully inlined with no virtual dispatch.  EventQueue
-// (the engine default, used by Simulator) is the calendar policy;
-// HeapEventQueue remains available as the fallback and A/B baseline.
+// The queue owns the *callback storage* and the handle semantics — the
+// compact/fat callback slabs, the occupant words, the free lists, the
+// sequence counter and lazy cancellation — and orders 16-byte
+// PendingEntry records (sim/pending_entry.hpp) in a CalendarPendingSet
+// (sim/calendar_queue.hpp): the amortised-O(1) calendar queue, which runs
+// on its 4-ary PendingHeap below ~1k pending events and keeps the same
+// heap as its overflow year.  The push/pop path is fully inlined.
 //
 // Storage layout of the callback layer (no per-event allocation):
 //   - compact callback slab: captures up to 56 bytes — the overwhelming
@@ -34,8 +25,7 @@
 //
 // Ordering.  Events fire in (time, sequence) order; the sequence number
 // makes simultaneous events fire in scheduling order, which keeps
-// simulations deterministic regardless of the pending-set policy — the
-// heap and the calendar produce byte-identical event orders.
+// simulations deterministic whatever the calendar's bucket geometry.
 //
 // Handles.  push() returns an EventHandle addressing {slot index,
 // generation}, where the generation is the event's unique sequence
@@ -65,7 +55,6 @@
 
 #include "sim/calendar_queue.hpp"
 #include "sim/pending_entry.hpp"
-#include "sim/pending_heap.hpp"
 #include "util/inline_fn.hpp"
 #include "util/types.hpp"
 
@@ -83,12 +72,12 @@ using EventFn = util::InlineFn<void(), kEventFnCapacity>;
 inline constexpr std::size_t kCompactFnCapacity = 56;
 using CompactFn = util::InlineFn<void(), kCompactFnCapacity>;
 
-class EventQueueBase;
+class EventQueue;
 
 /// Handle returned by push(); cancel() is idempotent and safe after fire.
 /// Copyable and trivially destructible; valid only while the queue that
-/// issued it is alive.  Handles are policy-agnostic: they address the
-/// shared callback layer, not the pending set.
+/// issued it is alive.  Handles address the callback slots, not the
+/// pending set.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -100,32 +89,58 @@ class EventHandle {
   void cancel();
 
  private:
-  friend class EventQueueBase;
-  template <typename Policy>
-  friend class BasicEventQueue;
+  friend class EventQueue;
   friend class EventQueueTestPeer;
-  EventHandle(EventQueueBase* q, std::uint32_t slot, std::uint64_t seq)
+  EventHandle(EventQueue* q, std::uint32_t slot, std::uint64_t seq)
       : queue_(q), seq_(seq), slot_(slot) {}
 
-  EventQueueBase* queue_ = nullptr;
+  EventQueue* queue_ = nullptr;
   std::uint64_t seq_ = 0;  ///< the event's generation: its sequence number
   std::uint32_t slot_ = 0;  ///< packed pool bit + pool-local index
 };
 
-/// Callback slabs, occupant words and handle semantics — everything that
-/// is independent of how the pending records are ordered.
-class EventQueueBase {
+class EventQueue {
  public:
-  EventQueueBase() = default;
-  virtual ~EventQueueBase() = default;
-  EventQueueBase(const EventQueueBase&) = delete;
-  EventQueueBase& operator=(const EventQueueBase&) = delete;
+  EventQueue() = default;
+  ~EventQueue() { teardown_slots(); }
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
   /// True if no live events remain.
   bool empty() const { return live_count_ == 0; }
   std::size_t live_count() const { return live_count_; }
 
- protected:
+  /// Schedule a callable at absolute time t (finite).  The callable is
+  /// placement-constructed straight into its slot — no temporaries, no
+  /// allocation.
+  template <typename F>
+  EventHandle push(Time t, F&& fn);
+
+  /// Time of the earliest live event; kTimeInfinity when empty.
+  Time next_time();
+
+  /// Pop and return the earliest live event.  Caller checks empty() first.
+  struct Fired {
+    Time time;
+    EventFn fn;
+  };
+  Fired pop();
+
+  /// Discard every pending event (captures destroyed, slots recycled) and
+  /// rewind to the fresh logical state while keeping every arena warm —
+  /// callback slabs, occupant arrays, the pending set's buffers.
+  /// Outstanding handles go permanently stale (sequence numbers stay
+  /// monotone across clears — the pre-clear epoch can never be confused
+  /// with the new one), so stray cancel()/pending() calls remain safe
+  /// no-ops.  Never allocates; the warm-reuse entry point of the engine.
+  void clear() noexcept;
+
+  std::size_t size_including_dead() const { return pending_.size(); }
+
+  /// Read-only view of the pending set (tests, telemetry).
+  const CalendarPendingSet& pending_set() const { return pending_; }
+
+ private:
   friend class EventHandle;
   friend class EventQueueTestPeer;
 
@@ -168,11 +183,10 @@ class EventQueueBase {
   void release_slot(std::uint32_t slot);  ///< link a vacated slot
   void cancel_handle(const EventHandle& h);
   /// Invalidate every occupant, then destroy all captures — while the
-  /// occupant arrays and the derived policy are still alive.  Every final
-  /// destructor must call this: a capture destructor that cancels another
-  /// handle (RAII-guard pattern) then sees a vacant occupant and no-ops
-  /// instead of reading freed occupant words or reaching the pure-virtual
-  /// policy hook of a partially-destroyed object.  Idempotent.
+  /// occupant arrays are still alive.  The destructor calls this: a
+  /// capture destructor that cancels another handle (RAII-guard pattern)
+  /// then sees a vacant occupant and no-ops instead of reading freed
+  /// occupant words.  Idempotent.
   void teardown_slots() noexcept;
   /// Warm-reuse variant of teardown: destroy every capture exactly like
   /// teardown_slots, then relink ALL slots (ascending, so a reused queue
@@ -184,13 +198,10 @@ class EventQueueBase {
   /// post-reset occupant (pending() is false, cancel() a no-op) even when
   /// its slot is reoccupied.  Never allocates.
   void reset_slots() noexcept;
+  void skim_dead();  ///< pop dead records off the pending-set front
+  void compact();    ///< drop every dead record from the pending set
   [[noreturn]] static void throw_nonfinite_time();
   [[noreturn]] static void throw_capacity_exhausted(const char* what);
-
-  /// Policy hook: compact the pending set (drop dead records).  Called by
-  /// cancel_handle only after its threshold test passes, so the virtual
-  /// dispatch is off the common cancel path.
-  virtual void maybe_compact() = 0;
 
   // Callback slabs: stable blocks, never relocated.  Index 0 of
   // occupant_/free_head_ is the compact pool, 1 the fat pool.
@@ -202,82 +213,9 @@ class EventQueueBase {
   std::size_t live_count_ = 0;
   std::size_t dead_pending_ = 0;
   std::uint64_t next_seq_ = 0;
+
+  CalendarPendingSet pending_;
 };
-
-/// The event queue over a concrete pending-set policy.  All hot-path
-/// methods inline through the policy with no virtual dispatch.
-template <typename Policy>
-class BasicEventQueue : public EventQueueBase {
- public:
-  using PendingPolicy = Policy;
-
-  BasicEventQueue() = default;
-  ~BasicEventQueue() override { teardown_slots(); }
-
-  /// Schedule a callable at absolute time t (finite).  The callable is
-  /// placement-constructed straight into its slot — no temporaries, no
-  /// allocation.
-  template <typename F>
-  EventHandle push(Time t, F&& fn);
-
-  /// Schedule `count` callables in one pending-set touch: `make(i)` yields
-  /// the callable for `times[i]`.  Sequence numbers are assigned in index
-  /// order, so the batch fires exactly as the equivalent loop of push()
-  /// calls would; when the times are nondecreasing the pending set inserts
-  /// the whole run with one front-register settlement and one bucket-head
-  /// update per day (CalendarPendingSet::insert_batch).  All-or-nothing:
-  /// on a throw (allocation only) no event of the batch is scheduled.
-  /// Batch events return no handles — they are not individually
-  /// cancellable; use push() where cancellation is needed.
-  template <typename Make>
-  void push_batch(const Time* times, std::size_t count, Make&& make);
-
-  /// Time of the earliest live event; kTimeInfinity when empty.
-  Time next_time();
-
-  /// Pop and return the earliest live event.  Caller checks empty() first.
-  struct Fired {
-    Time time;
-    EventFn fn;
-  };
-  Fired pop();
-
-  /// Discard every pending event (captures destroyed, slots recycled) and
-  /// rewind to the fresh logical state while keeping every arena warm —
-  /// callback slabs, occupant arrays, the pending-set policy's buffers.
-  /// Outstanding handles go permanently stale (sequence numbers stay
-  /// monotone across clears — the pre-clear epoch can never be confused
-  /// with the new one), so stray cancel()/pending() calls remain safe
-  /// no-ops.  Never allocates; the warm-reuse entry point of the engine.
-  void clear() noexcept;
-
-  std::size_t size_including_dead() const { return pending_.size(); }
-
-  /// Read-only view of the pending-set policy (tests, telemetry).
-  const Policy& pending_policy() const { return pending_; }
-
- private:
-  friend class EventQueueTestPeer;
-
-  void skim_dead();  ///< pop dead records off the pending-set front
-  void maybe_compact() override;
-
-  Policy pending_;
-  /// Staging buffer for push_batch: entries are built here (slots acquired,
-  /// captures constructed, occupants still vacant) and handed to the
-  /// pending set in one call.  Grows to the largest batch ever staged,
-  /// then stays warm.
-  std::vector<PendingEntry> batch_entries_;
-};
-
-/// The classic heap-ordered queue: O(log n) push/pop, fallback and A/B
-/// baseline for the calendar policy.
-using HeapEventQueue = BasicEventQueue<PendingHeap>;
-/// Calendar-queue front-end: amortised O(1) push/pop (see
-/// sim/calendar_queue.hpp).
-using CalendarEventQueue = BasicEventQueue<CalendarPendingSet>;
-/// The engine default, used by Simulator.
-using EventQueue = CalendarEventQueue;
 
 inline bool EventHandle::pending() const {
   return queue_ != nullptr && queue_->occupant(slot_) == seq_;
@@ -290,7 +228,7 @@ inline void EventHandle::cancel() {
 // ---- hot path, kept inline so Simulator::run sees through the calls -----
 
 template <bool Fat>
-inline std::uint32_t EventQueueBase::acquire_slot() {
+inline std::uint32_t EventQueue::acquire_slot() {
   constexpr std::size_t pool = Fat ? 1 : 0;
   auto& occupants = occupant_[pool];
   if (free_head_[pool] != kNoSlot) {
@@ -313,15 +251,14 @@ inline std::uint32_t EventQueueBase::acquire_slot() {
   return static_cast<std::uint32_t>(index) | (Fat ? kPoolBit : 0u);
 }
 
-inline void EventQueueBase::release_slot(std::uint32_t slot) {
+inline void EventQueue::release_slot(std::uint32_t slot) {
   const std::size_t pool = slot >> 23;
   occupant(slot) = kVacantTag | free_head_[pool];
   free_head_[pool] = slot & kPoolMask;
 }
 
-template <typename Policy>
 template <typename F>
-inline EventHandle BasicEventQueue<Policy>::push(Time t, F&& fn) {
+inline EventHandle EventQueue::push(Time t, F&& fn) {
   static_assert(EventFn::template fits<F>,
                 "EventQueue::push: callable violates the EventFn contract "
                 "(see util::InlineFn)");
@@ -357,97 +294,22 @@ inline EventHandle BasicEventQueue<Policy>::push(Time t, F&& fn) {
   return EventHandle(this, slot, seq);
 }
 
-template <typename Policy>
-template <typename Make>
-inline void BasicEventQueue<Policy>::push_batch(const Time* times,
-                                                std::size_t count,
-                                                Make&& make) {
-  using F = std::decay_t<decltype(make(std::size_t{0}))>;
-  static_assert(EventFn::template fits<F>,
-                "EventQueue::push_batch: callable violates the EventFn "
-                "contract (see util::InlineFn)");
-  constexpr bool kFat = sizeof(F) > kCompactFnCapacity;
-  if (count == 0) return;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!std::isfinite(times[i])) throw_nonfinite_time();
-  }
-  if (next_seq_ + count > kSeqLimit) {
-    throw_capacity_exhausted("event sequence");
-  }
-  // Stage: acquire slots and construct captures WITHOUT publishing
-  // occupants.  If anything below throws, the staged slots carry vacant
-  // occupants, so unwinding can destroy and relink them — and any prefix
-  // of entries the pending set already swallowed mismatches its occupant
-  // and is skimmed as dead.  Events therefore commit all-or-nothing.
-  batch_entries_.clear();
-  batch_entries_.reserve(count);
-  std::size_t staged = 0;
-  try {
-    for (; staged < count; ++staged) {
-      const std::uint32_t slot = acquire_slot<kFat>();
-      const std::uint32_t index = slot & kPoolMask;
-      try {
-        if constexpr (kFat) {
-          fat_fn(index) = make(staged);
-        } else {
-          compact_fn(index) = make(staged);
-        }
-      } catch (...) {
-        release_slot(slot);
-        throw;
-      }
-      batch_entries_.push_back(PendingEntry{
-          time_key(times[staged]),
-          ((next_seq_ + staged) << kSlotShift) | slot});
-    }
-    pending_.insert_batch(batch_entries_.data(), count);
-  } catch (...) {
-    for (std::size_t i = 0; i < staged; ++i) {
-      const std::uint32_t slot = entry_slot(batch_entries_[i]);
-      const std::uint32_t index = slot & kPoolMask;
-      if constexpr (kFat) {
-        fat_fn(index) = nullptr;
-      } else {
-        compact_fn(index) = nullptr;
-      }
-      release_slot(slot);
-    }
-    // Burn the staged sequence numbers: insert_batch may have committed a
-    // prefix of the entries before throwing, and if a future event were
-    // issued one of these seqs into a recycled slot, the stale record
-    // would come back to life.  Monotone seqs make it dead forever.
-    next_seq_ += staged;
-    batch_entries_.clear();
-    throw;
-  }
-  // Publish: from here the batch is live.  Occupant stores cannot throw.
-  for (std::size_t i = 0; i < count; ++i) {
-    occupant(entry_slot(batch_entries_[i])) = next_seq_ + i;
-  }
-  next_seq_ += count;
-  live_count_ += count;
-}
-
-template <typename Policy>
-inline void BasicEventQueue<Policy>::skim_dead() {
+inline void EventQueue::skim_dead() {
   while (pending_.size() != 0 && entry_dead(pending_.min())) {
     pending_.pop_min();
-    // Saturating: entries stranded by a failed push_batch (never-published
-    // occupants) were never counted by cancel_handle, so an exact
-    // decrement could underflow and jam maybe_compact's threshold.
-    dead_pending_ -= static_cast<std::size_t>(dead_pending_ != 0);
+    // Every dead record was counted by the cancel that killed it.
+    assert(dead_pending_ != 0 && "dead pending record never counted");
+    --dead_pending_;
   }
 }
 
-template <typename Policy>
-inline Time BasicEventQueue<Policy>::next_time() {
+inline Time EventQueue::next_time() {
   skim_dead();
   return pending_.size() == 0 ? kTimeInfinity
                               : key_time(pending_.min().time_key);
 }
 
-template <typename Policy>
-inline typename BasicEventQueue<Policy>::Fired BasicEventQueue<Policy>::pop() {
+inline EventQueue::Fired EventQueue::pop() {
   skim_dead();
   assert(pending_.size() != 0 && "pop on empty EventQueue");
   const PendingEntry& front = pending_.min();
@@ -474,20 +336,6 @@ inline typename BasicEventQueue<Policy>::Fired BasicEventQueue<Policy>::pop() {
                   : EventFn(std::move(*static_cast<CompactFn*>(fn_addr)))};
   release_slot(slot);
   return fired;
-}
-
-template <typename Policy>
-void BasicEventQueue<Policy>::maybe_compact() {
-  // The caller (cancel_handle) has already applied the threshold test.
-  pending_.remove_if(
-      [this](const PendingEntry& e) { return entry_dead(e); });
-  dead_pending_ = 0;
-}
-
-template <typename Policy>
-void BasicEventQueue<Policy>::clear() noexcept {
-  reset_slots();
-  pending_.clear();
 }
 
 }  // namespace emcast::sim

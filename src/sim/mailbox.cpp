@@ -1,7 +1,5 @@
 #include "sim/mailbox.hpp"
 
-#include <algorithm>
-
 #include "sim/pending_entry.hpp"
 
 namespace emcast::sim {
@@ -33,31 +31,6 @@ void ShardMailbox::post(const Packet& p, std::int32_t dest_host,
     spill_.push_back(m);
     ++spilled_;
   }
-}
-
-void ShardMailbox::post_batch(const DeliveryItem* items, std::size_t n) {
-  const std::size_t fit = std::min(n, ring_.free_space());
-  for (std::size_t i = 0; i < fit; ++i) {
-    CrossShardMsg& m = ring_.producer_slot(i);
-    m.packet = items[i].packet;
-    m.deliver_at = items[i].at;
-    m.seq = next_seq_ + i;
-    m.source_shard = source_shard_;
-    m.dest_host = items[i].host;
-  }
-  if (fit != 0) ring_.publish(fit);
-  for (std::size_t i = fit; i < n; ++i) {
-    CrossShardMsg m;
-    m.packet = items[i].packet;
-    m.deliver_at = items[i].at;
-    m.seq = next_seq_ + i;
-    m.source_shard = source_shard_;
-    m.dest_host = items[i].host;
-    spill_.push_back(m);
-  }
-  next_seq_ += n;
-  posted_ += n;
-  spilled_ += n - fit;
 }
 
 void ShardMailbox::reset() {

@@ -57,15 +57,6 @@ class ShardMailbox {
   /// past the high-water mark of any earlier window.
   void post(const Packet& p, std::int32_t dest_host, Time deliver_at);
 
-  /// Producer, batch: stage a train of `n` packets with ONE ring
-  /// free-space check and ONE release store for the whole prefix that
-  /// fits (messages are built directly in their ring slots — no staging
-  /// copy); the tail past the ring's free space spills in one append.
-  /// Equivalent to n post() calls: per-mailbox seqs are assigned in item
-  /// order, and ring entries precede spill entries exactly as post's
-  /// fills-then-spills invariant guarantees.
-  void post_batch(const DeliveryItem* items, std::size_t n);
-
   /// Consumer (destination shard's worker, at a window barrier): append
   /// every staged message to `out` and leave the mailbox empty.  Must
   /// only run while producers are quiescent (between windows).

@@ -26,16 +26,6 @@ struct Packet {
   Time age(Time now) const { return now - created; }
 };
 
-/// One element of a delivery train: the unit of the batch handoff APIs
-/// (SimContext::deliver_batch, Shard::post_batch).  A model that fans a
-/// packet out to many children fills a small array of these and hands the
-/// train over in one call instead of one deliver() per copy.
-struct DeliveryItem {
-  Packet packet;
-  Time at = 0;        ///< arrival (simulated) time
-  HostId host = -1;   ///< destination host
-};
-
 /// Non-allocating packet callback used by the per-hop pipeline (regulator
 /// sinks, MUX sinks, link delivery).  The capacity covers the captures the
 /// hop components actually make — a handful of references plus an index;

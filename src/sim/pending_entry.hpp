@@ -1,6 +1,6 @@
 #pragma once
-// The 16-byte POD record shared by every pending-set policy of the event
-// engine (the 4-ary heap and the calendar queue): an order-preserving
+// The 16-byte POD record of the event engine's pending set (the calendar
+// queue and the 4-ary heap inside it): an order-preserving
 // integer image of the event time plus the packed (sequence, slot) word.
 // The slot addresses the callback slab owned by the EventQueue; the
 // sequence number doubles as the handle generation and as the
@@ -19,7 +19,7 @@ inline constexpr std::uint32_t kSlotShift = 24;
 inline constexpr std::uint32_t kPoolBit = 1u << 23;
 inline constexpr std::uint32_t kPoolMask = kPoolBit - 1;
 
-/// One pending event as the policies see it.  `seq_slot` is
+/// One pending event as the pending set sees it.  `seq_slot` is
 /// (seq << 24) | slot, so a single 64-bit compare resolves time ties by
 /// sequence number (seq dominates; seq_slot ties are impossible because
 /// sequence numbers are unique).

@@ -1,6 +1,6 @@
 #pragma once
-// 4-ary implicit min-heap of PendingEntry records — the classic pending-set
-// policy of the event engine, and the overflow year of the calendar queue.
+// 4-ary implicit min-heap of PendingEntry records: the calendar queue's
+// small mode and its overflow year (sim/calendar_queue.hpp).
 //
 // The records live in a 64-byte-aligned buffer whose root is at physical
 // index 3, so every 4-child group is exactly one cache line.  Deletion is
@@ -37,18 +37,8 @@ class PendingHeap {
     sift_up(kBase + size_ - 1);
   }
 
-  /// Bulk insert: one capacity check for the whole batch, then plain
-  /// pushes (nothrow after the reserve).  Matches the pending-set policy
-  /// interface of CalendarPendingSet::insert_batch; the heap needs no
-  /// ordering precondition on the entries.
-  void insert_batch(const PendingEntry* entries, std::size_t count) {
-    if (size_ + count > cap_) reserve(size_ + count);
-    for (std::size_t i = 0; i < count; ++i) push(entries[i]);
-  }
-
-  /// Earliest entry; heap must be non-empty.  (Non-const to match the
-  /// pending-set policy interface — other policies sort lazily here.)
-  const PendingEntry& min() {
+  /// Earliest entry; heap must be non-empty.
+  const PendingEntry& min() const {
     assert(size_ != 0);
     return heap_[kBase];
   }

@@ -135,20 +135,7 @@ std::size_t ProcessSimulator::owner_of(std::size_t shard) const {
 
 void ProcessSimulator::set_message_handler(ShardMsgHandler handler) {
   handler_ = std::move(handler);
-  batch_handler_ = nullptr;
-  for (auto& s : shards_) {
-    s->handler_ = &handler_;
-    s->batch_handler_ = nullptr;
-  }
-}
-
-void ProcessSimulator::set_batch_message_handler(ShardBatchMsgHandler handler) {
-  batch_handler_ = std::move(handler);
-  handler_ = nullptr;
-  for (auto& s : shards_) {
-    s->handler_ = nullptr;
-    s->batch_handler_ = &batch_handler_;
-  }
+  for (auto& s : shards_) s->handler_ = &handler_;
 }
 
 void ProcessSimulator::set_result_hooks(ShardResultWriter writer,

@@ -122,7 +122,6 @@ class ProcessSimulator {
   /// Same contracts as the ShardedSimulator counterparts; handlers are
   /// captured by the workers at fork time, so install before run().
   void set_message_handler(ShardMsgHandler handler);
-  void set_batch_message_handler(ShardBatchMsgHandler handler);
 
   /// Install the result marshalling hooks (both may be empty: results are
   /// then simply not carried back — telemetry still is, via Bye frames).
@@ -184,7 +183,6 @@ class ProcessSimulator {
   std::size_t processes_ = 1;
   std::vector<std::unique_ptr<Shard>> shards_;
   ShardMsgHandler handler_;
-  ShardBatchMsgHandler batch_handler_;
   ShardResultWriter result_writer_;
   ShardResultReader result_reader_;
   std::uint64_t rounds_ = 0;

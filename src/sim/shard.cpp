@@ -28,18 +28,10 @@ std::size_t Shard::drain_and_schedule() {
   // — and with them the (time, seq) fire order — replay identically on
   // every run, for every worker-thread count.
   std::sort(drain_buf_.begin(), drain_buf_.end(), msg_before);
-  assert((handler_ != nullptr || batch_handler_ != nullptr) &&
-         "sharded run without a message handler");
+  assert(handler_ != nullptr && "sharded run without a message handler");
   in_drain_ = true;
   try {
-    if (batch_handler_ != nullptr) {
-      // One call for the round: the sorted buffer is a nondecreasing
-      // deliver_at run, which the Engine's handler turns into a single
-      // schedule_batch on the local kernel.
-      (*batch_handler_)(*this, drain_buf_.data(), drain_buf_.size());
-    } else {
-      for (const CrossShardMsg& m : drain_buf_) (*handler_)(*this, m);
-    }
+    (*handler_)(*this, drain_buf_);
   } catch (...) {
     in_drain_ = false;  // the run aborts, but keep the guard consistent
     throw;

@@ -1,7 +1,7 @@
 #pragma once
 // One shard of a sharded simulation: a partition of the model owning its
-// own discrete-event kernel (a full BasicSimulator over the calendar-queue
-// EventQueue), plus the outgoing side of the cross-shard mailboxes.
+// own discrete-event kernel (a full Simulator), plus the outgoing side of
+// the cross-shard mailboxes.
 //
 // Model code running inside a shard schedules local events through sim()
 // exactly as in a single-threaded simulation; a handoff whose destination
@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sim/mailbox.hpp"
@@ -26,25 +27,18 @@ namespace emcast::sim {
 class ShardedSimulator;
 class Shard;
 
-/// Invoked once per drained cross-shard message, in deterministic
-/// (deliver_at, source shard, seq) order, while the shard is between
-/// windows; the handler schedules the model's local reaction via
-/// shard.sim().schedule_at(msg.deliver_at, ...).  Handlers must ONLY
-/// schedule locally — calling Shard::post from a handler is forbidden
-/// (and asserted): drain phases run concurrently across workers, so a
-/// post issued mid-drain could race the destination's own drain of the
-/// same mailbox.  Posting is legal exactly where models do it anyway —
-/// from events executing inside a window.
-using ShardMsgHandler = std::function<void(Shard&, const CrossShardMsg&)>;
-
-/// Batch flavour of the drain handler: invoked ONCE per drain with the
-/// round's full message array, already in the deterministic (deliver_at,
-/// source shard, seq) order.  Same contract otherwise — schedule locally
-/// only, never post.  When installed it replaces the per-message handler
-/// for the round, letting the Engine turn a sorted drain into a single
-/// schedule_batch (the messages form one nondecreasing time run).
-using ShardBatchMsgHandler =
-    std::function<void(Shard&, const CrossShardMsg*, std::size_t)>;
+/// Invoked once per drain with the round's cross-shard messages, already
+/// in the deterministic (deliver_at, source shard, seq) order, while the
+/// shard is between windows; the handler schedules the model's local
+/// reactions via shard.sim().schedule_at(msg.deliver_at, ...), in array
+/// order, so the local sequence numbers follow the drain order.  Handlers
+/// must ONLY schedule locally — calling Shard::post from a handler is
+/// forbidden (and asserted): drain phases run concurrently across
+/// workers, so a post issued mid-drain could race the destination's own
+/// drain of the same mailbox.  Posting is legal exactly where models do
+/// it anyway — from events executing inside a window.
+using ShardMsgHandler =
+    std::function<void(Shard&, std::span<const CrossShardMsg>)>;
 
 class Shard {
  public:
@@ -79,28 +73,6 @@ class Shard {
     outgoing_[dest_shard]->post(p, dest_host, deliver_at);
   }
 
-  /// Batch post: hand a train of `n` packets to `dest_shard` with one
-  /// mailbox free-space check and one ring publish (see
-  /// ShardMailbox::post_batch).  Each item must satisfy the lookahead
-  /// contract for this PAIR: deliver_at >= now + the pair's effective
-  /// lookahead (post_floor(dest_shard)), which is >= the scalar floor and
-  /// strictly tighter when a pair lookahead matrix is installed.
-  void post_batch(std::size_t dest_shard, const DeliveryItem* items,
-                  std::size_t n) {
-    assert(dest_shard != index_ && "post to self: schedule locally instead");
-    assert(!in_drain_ &&
-           "post from a message handler: handlers may only schedule "
-           "locally (see ShardMsgHandler)");
-#ifndef NDEBUG
-    const Time floor = sim_.now() + post_floor(dest_shard);
-    for (std::size_t i = 0; i < n; ++i) {
-      assert(items[i].at >= floor &&
-             "cross-shard post violates the lookahead contract");
-    }
-#endif
-    if (n != 0) outgoing_[dest_shard]->post_batch(items, n);
-  }
-
   /// The effective lower bound on (deliver_at - now) for posts to
   /// `dest_shard`: the scalar lookahead floor, or the pair-specific floor
   /// when a lookahead matrix is installed (+inf for a pair the matrix
@@ -133,7 +105,7 @@ class Shard {
 
   /// Between-windows step (destination worker thread): drain every
   /// incoming mailbox, sort the round's messages into the deterministic
-  /// (deliver_at, source shard, seq) order, and hand each to the model's
+  /// (deliver_at, source shard, seq) order, and hand them to the model's
   /// message handler for local scheduling.  Returns the message count.
   std::size_t drain_and_schedule();
 
@@ -153,7 +125,6 @@ class Shard {
   /// the window protocol's safety derives from the scheduler's bound.
   std::vector<Time> post_floor_;
   const ShardMsgHandler* handler_ = nullptr;
-  const ShardBatchMsgHandler* batch_handler_ = nullptr;
   std::uint64_t messages_received_ = 0;
   /// True while drain_and_schedule runs its handlers (assert-only guard
   /// for the no-post-from-handler contract above).

@@ -85,20 +85,7 @@ ShardedSimulator::~ShardedSimulator() = default;
 
 void ShardedSimulator::set_message_handler(ShardMsgHandler handler) {
   handler_ = std::move(handler);
-  batch_handler_ = nullptr;
-  for (auto& s : shards_) {
-    s->handler_ = &handler_;
-    s->batch_handler_ = nullptr;
-  }
-}
-
-void ShardedSimulator::set_batch_message_handler(ShardBatchMsgHandler handler) {
-  batch_handler_ = std::move(handler);
-  handler_ = nullptr;
-  for (auto& s : shards_) {
-    s->handler_ = nullptr;
-    s->batch_handler_ = &batch_handler_;
-  }
+  for (auto& s : shards_) s->handler_ = &handler_;
 }
 
 std::uint64_t ShardedSimulator::run(Time until) {

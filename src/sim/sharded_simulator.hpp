@@ -92,11 +92,6 @@ class ShardedSimulator {
   /// run() whenever shard_count() > 1 and any post() can happen).
   void set_message_handler(ShardMsgHandler handler);
 
-  /// Install a batch drain handler instead: invoked once per drain with
-  /// the round's sorted message array (see ShardBatchMsgHandler).
-  /// Replaces any per-message handler.
-  void set_batch_message_handler(ShardBatchMsgHandler handler);
-
   /// Advance every shard until all queues drain or the global clock
   /// passes `until` (events at exactly `until` are executed, matching
   /// Simulator::run).  Returns the number of events executed this call.
@@ -213,7 +208,6 @@ class ShardedSimulator {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<PaddedKey[]> shard_key_;  ///< per-shard time image
   ShardMsgHandler handler_;
-  ShardBatchMsgHandler batch_handler_;
   util::SpinBarrier barrier_;
 
   /// Double-buffered min-reduction over next-event time keys, indexed by

@@ -4,12 +4,6 @@
 // callbacks; there is no global state, so many simulations run
 // concurrently on different threads (one Simulator per sweep point).
 //
-// The kernel is parameterised on the event-queue type so the pending-set
-// policy can be swapped (heap vs. calendar) without touching components;
-// `Simulator` is the engine default — the calendar queue.  The two
-// policies execute byte-identical event orders (the (time, seq) contract),
-// so the choice is purely a performance knob.
-//
 // Reuse.  A kernel is built once and may run MANY simulations: reset()
 // (or reset_discarding()) rewinds the clock and counters while keeping
 // every arena of the queue warm, so the second and later runs perform
@@ -27,12 +21,11 @@
 
 namespace emcast::sim {
 
-template <typename Queue>
-class BasicSimulator {
+class Simulator {
  public:
-  BasicSimulator() = default;
-  BasicSimulator(const BasicSimulator&) = delete;
-  BasicSimulator& operator=(const BasicSimulator&) = delete;
+  Simulator() = default;
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
   Time now() const { return now_; }
 
@@ -59,24 +52,6 @@ class BasicSimulator {
       throw std::invalid_argument("schedule_at: time in the past or NaN");
     }
     return queue_.push(t, std::forward<F>(fn));
-  }
-
-  /// Schedule a train of events in one pending-set touch: `make(i)` yields
-  /// the callable fired at `times[i]` (each >= now()).  Fires in exactly
-  /// the order the equivalent loop of schedule_at calls would — sequence
-  /// numbers are assigned in index order — but a nondecreasing train costs
-  /// one calendar day-lookup per run instead of one per event.  No handles
-  /// are returned: batch events are not individually cancellable.
-  /// All-or-nothing on a throw.
-  template <typename Make>
-  void schedule_batch(const Time* times, std::size_t count, Make&& make) {
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!(times[i] >= now_)) {  // rejects NaN as well as past times
-        throw std::invalid_argument(
-            "schedule_batch: time in the past or NaN");
-      }
-    }
-    queue_.push_batch(times, count, std::forward<Make>(make));
   }
 
   /// Run until the event queue drains or the clock passes `until`.
@@ -128,7 +103,7 @@ class BasicSimulator {
   /// Rewind the kernel for another simulation, keeping every arena warm.
   ///
   /// Survives a reset: the event queue's callback slabs, occupant arrays
-  /// and free lists, the pending-set policy's buffers (node pool, bucket
+  /// and free lists, the pending set's buffers (node pool, bucket
   /// arrays, overflow heap, scratch), and the internal event sequence
   /// counter (kept monotone, so pre-reset handles stay stale forever).
   /// Invalidated: the clock (rewound to `now`), the stop flag, the
@@ -184,21 +159,16 @@ class BasicSimulator {
   /// even when the request arrives from inside a fired event.  A depth
   /// counter (not a flag) keeps the guard correct under re-entrant runs.
   struct RunGuard {
-    BasicSimulator* sim;
-    explicit RunGuard(BasicSimulator* s) : sim(s) { ++sim->run_depth_; }
+    Simulator* sim;
+    explicit RunGuard(Simulator* s) : sim(s) { ++sim->run_depth_; }
     ~RunGuard() { --sim->run_depth_; }
   };
 
-  Queue queue_;
+  EventQueue queue_;
   Time now_ = 0.0;
   bool stop_requested_ = false;
   int run_depth_ = 0;
   std::uint64_t events_executed_ = 0;
 };
-
-/// The engine default: calendar-queue pending set.
-using Simulator = BasicSimulator<EventQueue>;
-/// Heap-policy kernel, kept for A/B benchmarking and differential tests.
-using HeapSimulator = BasicSimulator<HeapEventQueue>;
 
 }  // namespace emcast::sim

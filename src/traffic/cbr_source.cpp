@@ -1,6 +1,5 @@
 #include "traffic/cbr_source.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace emcast::traffic {
@@ -19,19 +18,14 @@ void CbrSource::start(sim::SimContext ctx, PacketSink sink, Time until) {
 }
 
 void CbrSource::schedule_train(sim::SimContext ctx, Time first, Time until) {
-  // The next `batch` tick events in one calendar touch.  Tick times
-  // accumulate sequentially (t_{n+1} = t_n + interval), NOT as
-  // first + i*interval, so the emission instants are bit-identical to
-  // the one-event-at-a-time chain this replaces.
-  constexpr std::size_t kMaxTrain = 64;
-  const std::size_t m = std::clamp<std::size_t>(config_.batch, 1, kMaxTrain);
-  Time times[kMaxTrain];
-  times[0] = first;
-  for (std::size_t i = 1; i < m; ++i) times[i] = times[i - 1] + interval_;
-  ctx.schedule_batch(times, m, [this, ctx, until, m](std::size_t i) {
-    const bool last = i + 1 == m;
-    return [this, ctx, until, last] { emit(ctx, until, last); };
-  });
+  // Tick times accumulate sequentially (t_{n+1} = t_n + interval), NOT as
+  // first + i*interval, so no instant depends on where a train starts.
+  Time t = first;
+  for (std::size_t i = 0; i < kTrainTicks; ++i) {
+    const bool last = i + 1 == kTrainTicks;
+    ctx.schedule_at(t, [this, ctx, until, last] { emit(ctx, until, last); });
+    t += interval_;
+  }
 }
 
 void CbrSource::emit(sim::SimContext ctx, Time until, bool last) {

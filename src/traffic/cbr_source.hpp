@@ -14,10 +14,6 @@ struct CbrConfig {
   Time phase = 0.0;            ///< first packet offset
   FlowId flow = 0;
   GroupId group = -1;
-  /// Tick events scheduled per schedule_batch call (clamped to [1, 64]).
-  /// Purely a scheduling amortisation: emission instants and packets are
-  /// bit-identical for every value.
-  std::size_t batch = 16;
 };
 
 class CbrSource final : public Source {

@@ -58,21 +58,16 @@ void MpegVideoSource::start(sim::SimContext ctx, PacketSink sink, Time until) {
 
 void MpegVideoSource::schedule_train(sim::SimContext ctx, Time first,
                                      Time until) {
-  // The next `batch` frame ticks in one calendar touch.  Tick times
-  // accumulate sequentially (t_{n+1} = t_n + frame_interval), matching
-  // the per-event chain bit for bit; frame sizes still draw from the RNG
-  // at fire time, in frame order, so the sample sequence is unchanged.
-  constexpr std::size_t kMaxTrain = 64;
-  const std::size_t m = std::clamp<std::size_t>(config_.batch, 1, kMaxTrain);
-  Time times[kMaxTrain];
-  times[0] = first;
-  for (std::size_t i = 1; i < m; ++i) {
-    times[i] = times[i - 1] + frame_interval_;
+  // Tick times accumulate sequentially (t_{n+1} = t_n + frame_interval);
+  // frame sizes draw from the RNG at fire time, in frame order.
+  Time t = first;
+  for (std::size_t i = 0; i < kTrainTicks; ++i) {
+    const bool last = i + 1 == kTrainTicks;
+    ctx.schedule_at(t, [this, ctx, until, last] {
+      emit_frame(ctx, until, last);
+    });
+    t += frame_interval_;
   }
-  ctx.schedule_batch(times, m, [this, ctx, until, m](std::size_t i) {
-    const bool last = i + 1 == m;
-    return [this, ctx, until, last] { emit_frame(ctx, until, last); };
-  });
 }
 
 void MpegVideoSource::emit_frame(sim::SimContext ctx, Time until, bool last) {

@@ -30,10 +30,6 @@ struct MpegVideoConfig {
   FlowId flow = 0;
   GroupId group = -1;
   std::uint64_t seed = 1;
-  /// Frame ticks scheduled per schedule_batch call (clamped to [1, 64]).
-  /// Purely a scheduling amortisation: frame instants, RNG draws and
-  /// packets are bit-identical for every value.
-  std::size_t batch = 16;
 };
 
 class MpegVideoSource final : public Source {

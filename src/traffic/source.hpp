@@ -4,6 +4,8 @@
 // burst (e.g. one video frame handed to the network at once) that the
 // downstream regulator/link serialises.
 
+#include <cstddef>
+
 #include "sim/context.hpp"
 #include "sim/packet.hpp"
 #include "traffic/flow_spec.hpp"
@@ -16,6 +18,15 @@ namespace emcast::traffic {
 /// few pointers/indices; bigger state belongs behind a pointer.  Move-only
 /// — a source takes ownership of its sink at start().
 using PacketSink = sim::PacketFn;
+
+/// Emission ticks a self-clocked source (CBR, MPEG, trace replay)
+/// schedules per train: a train's ticks are all scheduled when it
+/// starts, and its last tick starts the next train.  The length is part
+/// of the model's event order — under exact time ties, a tick scheduled
+/// at its train's start fires before an event scheduled later for the
+/// same instant — so changing it (or chaining one tick at a time) changes
+/// traces.
+inline constexpr std::size_t kTrainTicks = 16;
 
 class Source {
  public:

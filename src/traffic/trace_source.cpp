@@ -60,20 +60,17 @@ void TraceSource::start(sim::SimContext ctx, PacketSink sink, Time until) {
 }
 
 void TraceSource::schedule_train(sim::SimContext ctx, Time until) {
-  // The next `batch` distinct replay instants, discovered with a
+  // The next kTrainTicks distinct replay instants, discovered with a
   // lookahead COPY of the cursor (no records consumed — the live cursor
-  // still feeds emit in order), scheduled in one calendar touch.  The
-  // instants are the records' own timestamps, so batching cannot perturb
-  // them; instants past `until` never enter the batch, mirroring the
-  // old chain's stop condition.
-  constexpr std::size_t kMaxTrain = 64;
-  const std::size_t k = std::clamp<std::size_t>(config_.batch, 1, kMaxTrain);
-  Time times[kMaxTrain];
+  // still feeds emit in order).  The instants are the records' own
+  // timestamps; instants past `until` never enter the train, so replay
+  // stops at the horizon.
+  Time times[kTrainTicks];
   std::size_t m = 0;
   times[m++] = current_.time();
   std::uint64_t key = current_.time_key;
   TraceCursor look = cursor_;
-  while (m < k && !look.done()) {
+  while (m < kTrainTicks && !look.done()) {
     const TraceRecord r = look.next();
     if (config_.group >= 0 && r.group != config_.group) continue;
     if (r.time_key == key) continue;
@@ -81,18 +78,19 @@ void TraceSource::schedule_train(sim::SimContext ctx, Time until) {
     key = r.time_key;
     times[m++] = r.time();
   }
-  ctx.schedule_batch(times, m, [this, ctx, until, m](std::size_t i) {
+  for (std::size_t i = 0; i < m; ++i) {
     const bool last = i + 1 == m;
-    return [this, ctx, until, last] { emit(ctx, until, last); };
-  });
+    ctx.schedule_at(times[i],
+                    [this, ctx, until, last] { emit(ctx, until, last); });
+  }
 }
 
 void TraceSource::emit(sim::SimContext ctx, Time until, bool last) {
   if (ctx.now() > until) return;
   // Emit every record sharing this instant inside one event — the same
-  // burst shape a live source produces.  The batch scheduled one event
+  // burst shape a live source produces.  The train scheduled one event
   // per upcoming distinct timestamp, so each fires exactly when the
-  // cursor stands at its instant; the batch tail chains the next train.
+  // cursor stands at its instant; the train's last tick starts the next.
   const std::uint64_t key = current_.time_key;
   while (has_current_ && current_.time_key == key) {
     sim::Packet p;

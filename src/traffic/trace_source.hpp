@@ -38,10 +38,6 @@ struct TraceSourceConfig {
   const TraceBuffer* trace = nullptr;
   /// Replay only records with this group id; -1 replays every record.
   GroupId group = -1;
-  /// Distinct replay instants scheduled per schedule_batch call (clamped
-  /// to [1, 64]).  Purely a scheduling amortisation: replay instants and
-  /// packets are bit-identical for every value.
-  std::size_t batch = 16;
 };
 
 class TraceSource final : public Source {

@@ -75,35 +75,6 @@ class SpscRing {
     return true;
   }
 
-  // Producer bulk protocol: free_space() → write via producer_slot(i) →
-  // publish(m).  Amortises the full-check and the release store over a
-  // whole train: the consumer sees nothing until publish, then sees all
-  // `m` elements at once.  Producer thread only, m <= free_space().
-
-  /// Free slots from the producer's view (refreshes its cached view of
-  /// the consumer cursor once, like a failing try_push would).
-  std::size_t free_space() {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - cached_head_ > mask_) {
-      cached_head_ = head_.load(std::memory_order_acquire);
-    }
-    return static_cast<std::size_t>(mask_ + 1 - (tail - cached_head_));
-  }
-
-  /// The i-th not-yet-published slot past the producer cursor.  Only
-  /// valid for i < free_space(); contents become visible on publish(m)
-  /// for i < m.
-  T& producer_slot(std::size_t i) {
-    return buffer_[(tail_.load(std::memory_order_relaxed) + i) & mask_];
-  }
-
-  /// Make the first `m` staged slots visible to the consumer in one
-  /// release store.
-  void publish(std::size_t m) {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    tail_.store(tail + m, std::memory_order_release);
-  }
-
   /// Consumer side.  False when the ring is empty.
   bool try_pop(T& out) {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);

@@ -1,12 +1,14 @@
-// Differential determinism tests for the calendar-queue pending-set
-// policy: the (time, seq) contract says the heap and calendar policies
-// must produce byte-identical event orders for ANY workload — across
-// bucket resizes, year advances, underflow re-basing, lazy sorts and
-// compaction.  Each scenario drives both queues through the same scripted
-// push/pop/cancel sequence and compares the fired (time, id) traces.
+// Determinism tests for the calendar-queue pending set: the (time, seq)
+// contract says the queue fires every workload in exactly (time, push
+// order) — across bucket resizes, year advances, underflow re-basing,
+// lazy sorts, mode switches and compaction.  Each scenario drives the
+// EventQueue and a test-local reference (an ordered set of (time, push
+// index), erased on cancel) through the same scripted push/pop/cancel
+// sequence and compares the fired (time, id) traces.
 
-#include <algorithm>
 #include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,17 +26,17 @@ struct TraceEvent {
   bool operator==(const TraceEvent&) const = default;
 };
 
-/// One scripted operation, pre-generated so both queues see exactly the
-/// same sequence (the script must not depend on queue internals).
+/// One scripted operation, pre-generated so the queue and the reference
+/// see exactly the same sequence (the script must not depend on queue
+/// internals).
 struct Op {
   enum Kind { kPush, kPop, kCancel } kind;
   double time = 0.0;    // kPush
-  std::size_t victim = 0;  // kCancel: index into the handle log
+  std::size_t victim = 0;  // kCancel: index into the push log
 };
 
-template <typename Queue>
 std::vector<TraceEvent> run_script(const std::vector<Op>& ops) {
-  Queue q;
+  EventQueue q;
   std::vector<TraceEvent> trace;
   std::vector<EventHandle> handles;
   int next_id = 0;
@@ -73,12 +75,46 @@ std::vector<TraceEvent> run_script(const std::vector<Op>& ops) {
   return trace;
 }
 
+/// The contract itself: pending events ordered by (time, push index).
+/// -0.0 and +0.0 compare equal, so they tie and fall to the push index,
+/// as the contract says.  Cancelling a fired or cancelled event erases
+/// nothing.
+std::vector<TraceEvent> reference_script(const std::vector<Op>& ops) {
+  std::set<std::pair<double, int>> pending;
+  std::vector<double> pushed;  // push index -> time
+  std::vector<TraceEvent> trace;
+  const auto pop = [&pending, &trace] {
+    const auto front = pending.begin();
+    trace.push_back(TraceEvent{front->first, front->second});
+    pending.erase(front);
+  };
+  for (const Op& op : ops) {
+    switch (op.kind) {
+      case Op::kPush:
+        pending.emplace(op.time, static_cast<int>(pushed.size()));
+        pushed.push_back(op.time);
+        break;
+      case Op::kPop:
+        if (!pending.empty()) pop();
+        break;
+      case Op::kCancel:
+        if (!pushed.empty()) {
+          const std::size_t id = op.victim % pushed.size();
+          pending.erase({pushed[id], static_cast<int>(id)});
+        }
+        break;
+    }
+  }
+  while (!pending.empty()) pop();
+  return trace;
+}
+
 void expect_identical(const std::vector<Op>& ops) {
-  const auto heap_trace = run_script<HeapEventQueue>(ops);
-  const auto cal_trace = run_script<CalendarEventQueue>(ops);
-  ASSERT_EQ(heap_trace.size(), cal_trace.size());
-  for (std::size_t i = 0; i < heap_trace.size(); ++i) {
-    ASSERT_EQ(heap_trace[i], cal_trace[i]) << "divergence at event " << i;
+  const auto ref_trace = reference_script(ops);
+  const auto cal_trace = run_script(ops);
+  ASSERT_EQ(ref_trace.size(), cal_trace.size());
+  for (std::size_t i = 0; i < ref_trace.size(); ++i) {
+    ASSERT_EQ(ref_trace[i], cal_trace[i]) << "divergence at event " << i;
   }
 }
 
@@ -163,13 +199,13 @@ TEST(CalendarDeterminism, DrainRefillCyclesReaimTheYear) {
 }
 
 TEST(CalendarQueue, WorkloadActuallyExercisesTheCalendarMachinery) {
-  // White-box: the differential scenarios above are only meaningful if
+  // White-box: the scripted scenarios above are only meaningful if
   // they actually drive resizes and the overflow year, so pin that here.
   // (An 8% far tail: under the day-width estimator's 90th-percentile
   // trim, so the tail rides the overflow year — and, at ~320 records,
   // above the small-mode floor, so the in-year events exhaust and the
-  // year advances while the policy is still in calendar mode.)
-  CalendarEventQueue q;
+  // year advances while the set is still in calendar mode.)
+  EventQueue q;
   util::Rng rng(17);
   std::vector<EventHandle> handles;
   for (int i = 0; i < 4000; ++i) {
@@ -177,7 +213,7 @@ TEST(CalendarQueue, WorkloadActuallyExercisesTheCalendarMachinery) {
                                           : rng.uniform(1e6, 1e9);
     handles.push_back(q.push(t, [] {}));
   }
-  const auto& cal = q.pending_policy();
+  const auto& cal = q.pending_set();
   EXPECT_FALSE(cal.small_mode());
   EXPECT_GT(cal.bucket_count(), 16u) << "bucket count never grew";
   EXPECT_GT(cal.overflow_count(), 255u) << "overflow year never used";
@@ -200,12 +236,12 @@ TEST(CalendarQueue, WorkloadActuallyExercisesTheCalendarMachinery) {
 TEST(CalendarQueue, SmallPopulationsRunOnTheHeapPolicyPath) {
   // Size-adaptive small mode: below the threshold every structured entry
   // lives in the overflow heap and the bucket machinery stays cold.
-  CalendarEventQueue q;
+  EventQueue q;
   std::vector<EventHandle> handles;
   for (int i = 0; i < 1000; ++i) {
     handles.push_back(q.push(static_cast<double>(i), [] {}));
   }
-  const auto& cal = q.pending_policy();
+  const auto& cal = q.pending_set();
   EXPECT_TRUE(cal.small_mode());
   EXPECT_EQ(cal.in_bucket_count(), 0u) << "buckets touched below threshold";
   EXPECT_EQ(cal.rebuild_count(), 0u);
@@ -223,13 +259,13 @@ TEST(CalendarQueue, ModeTransitionsHaveHysteresisAndPreserveOrder) {
   // Grow through the upgrade threshold, drain through the collapse
   // threshold, and check the pop stream stays exactly (time, seq)-sorted
   // across both transitions.
-  CalendarEventQueue q;
+  EventQueue q;
   const int n = 3000;
   util::Rng rng(18);
   std::vector<double> times;
   for (int i = 0; i < n; ++i) times.push_back(rng.uniform(0.0, 100.0));
   for (const double t : times) q.push(t, [] {});
-  const auto& cal = q.pending_policy();
+  const auto& cal = q.pending_set();
   EXPECT_FALSE(cal.small_mode()) << "upgrade threshold never crossed";
   EXPECT_EQ(cal.mode_switches(), 1u);
   EXPECT_GT(cal.in_bucket_count(), 0u);
@@ -248,7 +284,7 @@ TEST(CalendarQueue, ModeTransitionsHaveHysteresisAndPreserveOrder) {
 }
 
 TEST(CalendarQueue, CompactionPurgesDeadRecordsInBucketsAndOverflow) {
-  CalendarEventQueue q;
+  EventQueue q;
   std::vector<EventHandle> handles;
   const int n = 2000;
   for (int i = 0; i < n; ++i) {
@@ -273,15 +309,16 @@ TEST(CalendarQueue, CompactionPurgesDeadRecordsInBucketsAndOverflow) {
   EXPECT_EQ(popped, 200u);
 }
 
-template <typename Sim>
-std::vector<std::pair<Time, int>> drive_kernel() {
+TEST(CalendarSimulator, FullKernelMatchesHeapKernel) {
   // A self-rescheduling workload with jitter and cancellations, driven
-  // end-to-end through BasicSimulator.
-  Sim sim;
+  // end-to-end through the Simulator.  The digest was recorded when a
+  // heap-ordered kernel still ran beside the calendar one and both
+  // produced this exact trace.
+  Simulator sim;
   std::vector<std::pair<Time, int>> trace;
   util::Rng rng(18);
   struct Tick {
-    Sim* s;
+    Simulator* s;
     std::vector<std::pair<Time, int>>* out;
     util::Rng* rng;
     int id;
@@ -302,207 +339,21 @@ std::vector<std::pair<Time, int>> drive_kernel() {
   int budget = 3000;
   sim.schedule_in(0.0, Tick{&sim, &trace, &rng, 0, &budget});
   sim.run();
-  return trace;
-}
-
-TEST(CalendarSimulator, FullKernelMatchesHeapKernel) {
-  const auto cal_trace = drive_kernel<Simulator>();
-  const auto heap_trace = drive_kernel<HeapSimulator>();
-  ASSERT_EQ(cal_trace.size(), heap_trace.size());
-  for (std::size_t i = 0; i < cal_trace.size(); ++i) {
-    ASSERT_EQ(cal_trace[i], heap_trace[i]) << "kernel divergence at " << i;
-  }
-  for (const auto& [t, id] : cal_trace) EXPECT_NE(id, -1);
-}
-
-// ---- push_batch / insert_batch -------------------------------------------
-//
-// Contract: push_batch(times, n, make) is observably identical to n
-// sequential push() calls — same sequence numbers in index order, same
-// (time, seq) pop order — on both policies, for any time pattern.  The
-// batch path's value is purely mechanical (one calendar touch per
-// monotone run), so these scripts drive the run splitting and every
-// structural edge the per-entry path has: day and year boundaries, the
-// overflow year, small mode, and mid-batch grow rebuilds.
-
-struct BatchOp {
-  std::vector<double> times;  // one push_batch (or push-loop) call
-  int pops = 0;               // pops to perform after the pushes
-};
-
-template <typename Queue, bool kBatch>
-std::vector<TraceEvent> run_batch_script(const std::vector<BatchOp>& ops) {
-  Queue q;
-  std::vector<TraceEvent> trace;
-  int next_id = 0;
-  const auto drain = [&q, &trace](int n) {
-    while (n-- > 0 && !q.empty()) {
-      auto fired = q.pop();
-      const std::size_t at = trace.size();
-      fired.fn();
-      EXPECT_EQ(trace.size(), at + 1) << "event did not record itself";
-      trace.back().time = fired.time;
+  ASSERT_EQ(trace.size(), 3000u);
+  for (const auto& [t, id] : trace) EXPECT_NE(id, -1);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xffU;
+      h *= 0x100000001b3ULL;
     }
   };
-  for (const BatchOp& op : ops) {
-    if (!op.times.empty()) {
-      if constexpr (kBatch) {
-        q.push_batch(op.times.data(), op.times.size(),
-                     [&trace, next_id](std::size_t i) {
-                       const int id = next_id + static_cast<int>(i);
-                       return [&trace, id] {
-                         trace.push_back(TraceEvent{0.0, id});
-                       };
-                     });
-        next_id += static_cast<int>(op.times.size());
-      } else {
-        for (const double t : op.times) {
-          const int id = next_id++;
-          q.push(t, [&trace, id] { trace.push_back(TraceEvent{0.0, id}); });
-        }
-      }
-    }
-    drain(op.pops);
+  mix(trace.size());
+  for (const auto& [t, id] : trace) {
+    mix(time_key(t));
+    mix(static_cast<std::uint32_t>(id));
   }
-  drain(1 << 30);
-  return trace;
-}
-
-void expect_batch_matches_sequential(const std::vector<BatchOp>& ops) {
-  const auto seq_heap = run_batch_script<HeapEventQueue, false>(ops);
-  const auto bat_heap = run_batch_script<HeapEventQueue, true>(ops);
-  const auto seq_cal = run_batch_script<CalendarEventQueue, false>(ops);
-  const auto bat_cal = run_batch_script<CalendarEventQueue, true>(ops);
-  ASSERT_EQ(bat_heap.size(), seq_heap.size());
-  ASSERT_EQ(seq_cal.size(), seq_heap.size());
-  ASSERT_EQ(bat_cal.size(), seq_heap.size());
-  for (std::size_t i = 0; i < seq_heap.size(); ++i) {
-    ASSERT_EQ(bat_heap[i], seq_heap[i]) << "heap batch diverged at " << i;
-    ASSERT_EQ(seq_cal[i], seq_heap[i]) << "calendar diverged at " << i;
-    ASSERT_EQ(bat_cal[i], seq_heap[i]) << "calendar batch diverged at " << i;
-  }
-}
-
-TEST(CalendarBatch, MonotoneRunsSplitAtDescents) {
-  // One batch holding several nondecreasing runs separated by strict
-  // descents (including an exact tie, which extends a run): the splitter
-  // must cut exactly at the descents to keep (time, seq) == index order
-  // within each insert_run call.
-  expect_batch_matches_sequential({
-      {{1.0, 2.0, 2.0, 3.0, 0.5, 0.6, 10.0, 9.0, 9.5, 0.1}, 4},
-      {{5.0, 4.0, 3.0, 2.0, 1.0}, 0},  // fully descending: all splits
-      {{0.05}, 0},                     // below the current front
-  });
-}
-
-TEST(CalendarBatch, RandomBatchesMatchSequentialPushes) {
-  util::Rng rng(23);
-  std::vector<BatchOp> ops;
-  for (int round = 0; round < 60; ++round) {
-    BatchOp op;
-    const int m = static_cast<int>(rng.uniform_int(0, 80));
-    for (int i = 0; i < m; ++i) {
-      // Mostly near-term, an 8% far tail for the overflow year, and a
-      // sprinkle of duplicates for seq tie-breaks.
-      const double t = rng.uniform() < 0.92 ? rng.uniform(0.0, 10.0)
-                                            : rng.uniform(1e6, 1e9);
-      op.times.push_back(t);
-      if (rng.uniform() < 0.1) op.times.push_back(t);
-    }
-    // Pre-sort some batches: sorted trains are the hot production shape.
-    if (rng.uniform() < 0.5) {
-      std::sort(op.times.begin(), op.times.end());
-    }
-    op.pops = static_cast<int>(rng.uniform_int(0, 40));
-    ops.push_back(std::move(op));
-  }
-  expect_batch_matches_sequential(ops);
-}
-
-TEST(CalendarBatch, BatchesCrossDayAndYearBoundaries) {
-  // A single monotone train spanning many days of the year, a tail deep
-  // in the overflow year, then (after drains) a train below the rebased
-  // front.  White-box: confirm this actually leaves small mode and uses
-  // the overflow year, so the fast insert_run path (per-bucket chunks +
-  // overflow tail) is what's being compared.
-  std::vector<BatchOp> ops;
-  BatchOp big;
-  for (int i = 0; i < 3000; ++i) {
-    big.times.push_back(static_cast<double>(i) * 0.01);  // many days
-  }
-  for (int i = 0; i < 300; ++i) {
-    big.times.push_back(1e7 + static_cast<double>(i));  // overflow year
-  }
-  ops.push_back(std::move(big));
-  ops.push_back(BatchOp{{}, 2500});          // drain into the year
-  BatchOp low;
-  for (int i = 0; i < 64; ++i) {
-    low.times.push_back(25.0 + static_cast<double>(i) * 0.001);
-  }
-  ops.push_back(std::move(low));
-  expect_batch_matches_sequential(ops);
-
-  CalendarEventQueue q;
-  std::vector<double> times;
-  for (int i = 0; i < 3000; ++i) times.push_back(static_cast<double>(i) * 0.01);
-  for (int i = 0; i < 300; ++i) times.push_back(1e7 + static_cast<double>(i));
-  q.push_batch(times.data(), times.size(), [](std::size_t) {
-    return [] {};
-  });
-  const auto& cal = q.pending_policy();
-  EXPECT_FALSE(cal.small_mode()) << "batch never left small mode";
-  EXPECT_GT(cal.overflow_count(), 0u) << "overflow year never used";
-}
-
-TEST(CalendarBatch, SmallModeBatchesAndTheUpgradeSwitch) {
-  // A batch that fits small mode stays on the overflow-heap path; a
-  // follow-up batch that would overrun kSmallModeMax routes through the
-  // per-entry slow path and upgrades to calendar mode mid-batch.  Order
-  // must hold across the switch.
-  expect_batch_matches_sequential({
-      {std::vector<double>(100, 1.0), 0},  // ties: pure seq order
-      {[] {
-         std::vector<double> t;
-         for (int i = 0; i < 2000; ++i) {
-           t.push_back(static_cast<double>(i % 97) * 0.25);
-         }
-         return t;
-       }(),
-       0},
-  });
-
-  CalendarEventQueue q;
-  const std::vector<double> small(100, 1.0);
-  q.push_batch(small.data(), small.size(), [](std::size_t) { return [] {}; });
-  EXPECT_TRUE(q.pending_policy().small_mode());
-  std::vector<double> big;
-  for (int i = 0; i < 2000; ++i) big.push_back(static_cast<double>(i) * 0.1);
-  q.push_batch(big.data(), big.size(), [](std::size_t) { return [] {}; });
-  EXPECT_FALSE(q.pending_policy().small_mode())
-      << "upgrade threshold never crossed inside the batch";
-  EXPECT_GT(q.pending_policy().mode_switches(), 0u);
-}
-
-TEST(CalendarBatch, GrowRebuildMidBatchKeepsOrder) {
-  // Interleave pops and progressively larger sorted batches so a batch
-  // arrives when size + m overruns 2x the bucket count: the insert_run
-  // guard must route that batch through the per-entry path (which grows
-  // and rebuilds) without disturbing (time, seq) order.
-  util::Rng rng(29);
-  std::vector<BatchOp> ops;
-  double base = 0.0;
-  for (int round = 0; round < 12; ++round) {
-    BatchOp op;
-    const int m = 200 << (round / 4);  // 200 -> 400 -> 800
-    for (int i = 0; i < m; ++i) {
-      op.times.push_back(base + rng.uniform(0.0, 50.0));
-    }
-    std::sort(op.times.begin(), op.times.end());
-    op.pops = m / 3;
-    base += 5.0;
-    ops.push_back(std::move(op));
-  }
-  expect_batch_matches_sequential(ops);
+  EXPECT_EQ(h, 0xfbd5f2f5a6d4d856ULL) << std::hex << h;
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -84,7 +85,7 @@ class EventQueueTestPeer {
     bool operator==(const Arenas&) const = default;
   };
   static Arenas arenas(const EventQueue& q) {
-    const CalendarPendingSet& cal = q.pending_policy();
+    const CalendarPendingSet& cal = q.pending_set();
     return Arenas{cal.pool_data(),
                   cal.pool_capacity(),
                   cal.heads_capacity(),
@@ -134,39 +135,6 @@ TEST(EngineAllocation, PushPopCancelChurnIsAllocationFree) {
       << "heap buffer / slab arenas must not grow or move in steady state";
 }
 
-TEST(EngineAllocation, HeapPolicyChurnIsAllocationFree) {
-  // The heap fallback policy keeps the same steady-state guarantee.
-  HeapEventQueue q;
-  constexpr int kOutstanding = 1000;
-  std::vector<EventHandle> handles(kOutstanding);
-  for (int i = 0; i < kOutstanding; ++i) {
-    handles[static_cast<std::size_t>(i)] =
-        q.push(static_cast<double>(i), [] {});
-  }
-  for (int i = 0; i < kOutstanding; i += 2) {
-    handles[static_cast<std::size_t>(i)].cancel();
-  }
-  while (!q.empty()) q.pop().fn();
-
-  const std::size_t before = g_allocations.load();
-  const void* buffer = q.pending_policy().buffer();
-  const std::size_t cap = q.pending_policy().capacity();
-  double clock = static_cast<double>(kOutstanding);
-  for (int round = 0; round < 10; ++round) {
-    for (int i = 0; i < kOutstanding; ++i) {
-      handles[static_cast<std::size_t>(i)] = q.push(clock + i, [] {});
-    }
-    for (int i = 0; i < kOutstanding; i += 2) {
-      handles[static_cast<std::size_t>(i)].cancel();
-    }
-    while (!q.empty()) q.pop().fn();
-    clock += kOutstanding;
-  }
-  EXPECT_EQ(g_allocations.load(), before);
-  EXPECT_EQ(q.pending_policy().buffer(), buffer);
-  EXPECT_EQ(q.pending_policy().capacity(), cap);
-}
-
 TEST(EngineAllocation, ShardedSteadyStateIsAllocationFreeAndArenasPinned) {
   // The sharded layer's steady state: window rounds, cross-shard posts
   // through the mailbox rings (with deliberate spill traffic), drains,
@@ -182,7 +150,8 @@ TEST(EngineAllocation, ShardedSteadyStateIsAllocationFreeAndArenasPinned) {
   cfg.lookahead = 0.5;
   cfg.mailbox_capacity = 4;  // force ring overflow into the spill vector
   ShardedSimulator sharded(cfg);
-  sharded.set_message_handler([](Shard& shard, const CrossShardMsg& m) {
+  sharded.set_message_handler([](Shard& shard,
+                                 std::span<const CrossShardMsg> msgs) {
     struct Arrive {
       Shard* shard;
       Packet p;
@@ -200,7 +169,9 @@ TEST(EngineAllocation, ShardedSteadyStateIsAllocationFreeAndArenasPinned) {
         }
       }
     };
-    shard.sim().schedule_at(m.deliver_at, Arrive{&shard, m.packet});
+    for (const CrossShardMsg& m : msgs) {
+      shard.sim().schedule_at(m.deliver_at, Arrive{&shard, m.packet});
+    }
   });
 
   sharded.shard(0).sim().schedule_at(0.0, [&sharded] {
@@ -289,8 +260,8 @@ TEST(EngineAllocation, SimContextDeliverSteadyStateIsAllocationFree) {
 
 TEST(EngineAllocation, SmallModeChurnIsAllocationFree) {
   // The size-adaptive pending set below the small-mode threshold: pure
-  // heap-path churn through the calendar policy must stay allocation-free
-  // and must never touch (allocate) the bucket arrays.
+  // heap-path churn through the calendar must stay allocation-free and
+  // must never touch (allocate) the bucket arrays.
   EventQueue q;
   constexpr int kOutstanding = 500;  // below kSmallModeMin -> heap mode
   std::vector<EventHandle> handles(kOutstanding);
@@ -313,8 +284,8 @@ TEST(EngineAllocation, SmallModeChurnIsAllocationFree) {
     clock += kOutstanding;
   }
   EXPECT_EQ(g_allocations.load(), before);
-  EXPECT_TRUE(q.pending_policy().small_mode());
-  EXPECT_EQ(q.pending_policy().bucket_count(), 0u)
+  EXPECT_TRUE(q.pending_set().small_mode());
+  EXPECT_EQ(q.pending_set().bucket_count(), 0u)
       << "small-mode churn must leave the bucket machinery untouched";
 }
 
@@ -523,65 +494,14 @@ TEST(EngineAllocation, TraceReplaySteadyStateIsAllocationFree) {
       << "trace replay steady state must not allocate";
 }
 
-TEST(EngineAllocation, BatchPushChurnIsAllocationFree) {
-  // The batch scheduling path (PR 8): push_batch stages entries in the
-  // queue's reusable staging buffer and hands them to the pending set in
-  // monotone runs.  After a warm-up that grows the staging buffer to the
-  // largest batch ever used (and promotes the calendar out of small
-  // mode), sustained batch churn — sorted trains, descending batches that
-  // split into runs, and far-tail entries into the overflow year — must
-  // allocate nothing and leave every arena pinned.
-  EventQueue q;
-  constexpr std::size_t kBatch = 64;
-  constexpr int kRounds = 40;
-  double times[kBatch];
-  auto fill = [&times](double base, bool descending) {
-    for (std::size_t i = 0; i < kBatch; ++i) {
-      const double off = 0.01 * static_cast<double>(i);
-      times[i] = descending ? base + 0.64 - off : base + off;
-    }
-  };
-  auto churn = [&](double clock) {
-    for (int round = 0; round < kRounds; ++round) {
-      fill(clock, round % 3 == 2);
-      q.push_batch(times, kBatch, [](std::size_t) { return [] {}; });
-      if (round % 4 == 0) {
-        // Far-tail pair: exercises the overflow-year tail of insert_run.
-        const double far[2] = {clock + 1e7, clock + 1e7 + 1.0};
-        q.push_batch(far, 2, [](std::size_t) { return [] {}; });
-      }
-      // Drain roughly half so pops interleave with batch inserts.
-      for (std::size_t i = 0; i < kBatch / 2 && !q.empty(); ++i) q.pop().fn();
-      clock += 1.0;
-    }
-    while (!q.empty()) q.pop().fn();
-  };
-  // Warm-up: grow the staging buffer, slabs, calendar arrays and the
-  // overflow heap once.  A seed burst leaves small mode so the churn
-  // below runs on the calendar fast path.
-  for (int i = 0; i < 2000; ++i) q.push(0.001 * i, [] {});
-  while (!q.empty()) q.pop().fn();
-  churn(2.0);
-
-  const std::size_t before = g_allocations.load();
-  const auto arenas_before = EventQueueTestPeer::arenas(q);
-  churn(2.0 + kRounds);
-  EXPECT_EQ(g_allocations.load(), before)
-      << "push_batch steady state must not allocate";
-  EXPECT_TRUE(EventQueueTestPeer::arenas(q) == arenas_before)
-      << "batch staging / calendar arenas must not grow or move";
-}
-
 TEST(EngineAllocation, BatchSourceTrainSteadyStateIsAllocationFree) {
-  // The production shape of the batch path: a CBR source emitting through
-  // schedule_batch trains (PR 8).  The first run grows the staging buffer
-  // and the slab to the train's working set; a warm rerun — start()
-  // resets the id sequence, the train capture fits the slot pools — must
-  // allocate nothing.
+  // A CBR source emitting in trains: each train schedules its ticks at
+  // its start.  The first run grows the slab to the train's working set;
+  // a warm rerun — start() resets the id sequence, the train capture
+  // fits the slot pools — must allocate nothing.
   traffic::CbrConfig cfg;
   cfg.rate = mbps(1.0);
   cfg.packet_size = bytes(1000);
-  cfg.batch = 32;
   traffic::CbrSource src(cfg);
 
   Simulator sim;
@@ -591,7 +511,7 @@ TEST(EngineAllocation, BatchSourceTrainSteadyStateIsAllocationFree) {
     src.start(sim, [&delivered](Packet) { ++delivered; }, 5.0);
     sim.run(5.0);
   };
-  run();  // warm-up grows the batch staging buffer and the slot slab
+  run();  // warm-up grows the slot slab
   const std::uint64_t first = delivered;
   ASSERT_GT(first, 100u);
 
@@ -600,7 +520,7 @@ TEST(EngineAllocation, BatchSourceTrainSteadyStateIsAllocationFree) {
   run();
   EXPECT_EQ(delivered, first);
   EXPECT_EQ(g_allocations.load(), before)
-      << "batched source train steady state must not allocate";
+      << "source train steady state must not allocate";
 }
 
 TEST(EngineAllocation, RegulatedPipelineSteadyStateIsAllocationFree) {

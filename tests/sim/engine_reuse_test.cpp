@@ -1,5 +1,5 @@
 // Warm-reuse contract of the kernel stack (PR 5): EventQueue::clear,
-// BasicSimulator::reset/reset_discarding, ShardedSimulator::reset and
+// Simulator::reset/reset_discarding, ShardedSimulator::reset and
 // Engine::reset keep every arena warm while rewinding all run state, and
 // the misuse guards — reset while events pending, reset mid-run, handles
 // from a pre-reset epoch — reject or stay safe exactly as documented.
@@ -70,15 +70,15 @@ TEST(EventQueueClear, KeepsArenasWarmAndReturnsToSmallMode) {
   EventQueue q;
   // Grow past the small-mode threshold so the calendar machinery exists.
   for (int i = 0; i < 3000; ++i) q.push(static_cast<double>(i), [] {});
-  ASSERT_FALSE(q.pending_policy().small_mode());
-  const std::size_t pool_cap = q.pending_policy().pool_capacity();
+  ASSERT_FALSE(q.pending_set().small_mode());
+  const std::size_t pool_cap = q.pending_set().pool_capacity();
   ASSERT_GT(pool_cap, 0u);
   q.clear();
   EXPECT_TRUE(q.empty());
-  EXPECT_TRUE(q.pending_policy().small_mode())
+  EXPECT_TRUE(q.pending_set().small_mode())
       << "clear returns to the fresh logical state (day width re-derived "
          "lazily at the next promotion rebuild)";
-  EXPECT_EQ(q.pending_policy().pool_capacity(), pool_cap)
+  EXPECT_EQ(q.pending_set().pool_capacity(), pool_cap)
       << "the node-pool arena must survive clear";
   // The warmed queue is immediately usable and pops in (time, seq) order.
   q.push(5.0, [] {});
@@ -87,7 +87,7 @@ TEST(EventQueueClear, KeepsArenasWarmAndReturnsToSmallMode) {
   EXPECT_EQ(q.pop().time, 5.0);
 }
 
-// ---- BasicSimulator::reset ----------------------------------------------
+// ---- Simulator::reset ---------------------------------------------------
 
 TEST(SimulatorReset, StrictResetRejectsPendingEvents) {
   Simulator sim;

@@ -3,6 +3,7 @@
 // exhaustion, dead-entry compaction, and the ordering bit-tricks.
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -12,18 +13,16 @@
 
 namespace emcast::sim {
 
-/// White-box access for the generation/compaction tests.  The handle and
-/// slot semantics live in EventQueueBase, so the same peer serves every
-/// pending-set policy.
+/// White-box access for the generation/compaction tests.
 class EventQueueTestPeer {
  public:
-  static void set_next_seq(EventQueueBase& q, std::uint64_t s) {
+  static void set_next_seq(EventQueue& q, std::uint64_t s) {
     q.next_seq_ = s;
   }
-  static std::uint64_t seq_limit() { return EventQueueBase::kSeqLimit; }
+  static std::uint64_t seq_limit() { return EventQueue::kSeqLimit; }
   static std::uint32_t slot_of(const EventHandle& h) { return h.slot_; }
   static std::uint64_t generation_of(const EventHandle& h) { return h.seq_; }
-  static std::size_t dead_pending(const EventQueueBase& q) {
+  static std::size_t dead_pending(const EventQueue& q) {
     return q.dead_pending_;
   }
 };
@@ -115,6 +114,30 @@ TEST(EventEngine, MassCancelTriggersCompaction) {
     ++popped;
   }
   EXPECT_EQ(popped, 100);
+}
+
+TEST(EventEngine, DeadRecordCountIsExact) {
+  // Every cancel counts its dead record once and every skim uncounts it
+  // once, so the count reaches zero exactly when the last dead record
+  // leaves the pending set (below the compaction floor, so only skims
+  // remove them).
+  EventQueue q;
+  std::vector<EventHandle> handles;
+  for (int i = 0; i < 40; ++i) {
+    handles.push_back(q.push(1.0 + i, [] {}));
+  }
+  // Cancel the odd times 1, 3, ..., 39 and the last time, 40.
+  for (std::size_t i = 0; i < 40; i += 2) handles[i].cancel();
+  handles[39].cancel();
+  EXPECT_EQ(EventQueueTestPeer::dead_pending(q), 21u);
+  EXPECT_EQ(q.next_time(), 2.0);  // skims the dead record at 1.0
+  EXPECT_EQ(EventQueueTestPeer::dead_pending(q), 20u);
+  while (!q.empty()) q.pop().fn();  // skims 3, 5, ..., 37 on the way
+  EXPECT_EQ(EventQueueTestPeer::dead_pending(q), 2u)
+      << "the records at 39 and 40 sit behind the last live event";
+  EXPECT_EQ(q.next_time(), kTimeInfinity);
+  EXPECT_EQ(EventQueueTestPeer::dead_pending(q), 0u);
+  EXPECT_EQ(q.size_including_dead(), 0u);
 }
 
 TEST(EventEngine, SignedZerosAreATieBrokenBySchedulingOrder) {
@@ -236,9 +259,9 @@ TEST(EventEngine, QueueDestructionWithCrossCancellingCapturesIsSafe) {
   // RAII-guard captures that cancel OTHER handles on destruction: during
   // queue teardown every capture destructor runs, and each cancel must
   // find the occupant words alive and already vacated (stale-handle
-  // no-op) — not freed memory, and never the compaction hook of a
-  // half-destroyed queue.  Enough events to cross the compaction floor if
-  // the cancels were (wrongly) honoured.
+  // no-op) — not freed memory, and never a compaction of a half-destroyed
+  // queue.  Enough events to cross the compaction floor if the cancels
+  // were (wrongly) honoured.
   struct CrossCancel {
     std::vector<EventHandle>* all = nullptr;
     std::size_t other = 0;
@@ -252,21 +275,13 @@ TEST(EventEngine, QueueDestructionWithCrossCancellingCapturesIsSafe) {
     }
     void operator()() const {}
   };
-  for (int policy = 0; policy < 2; ++policy) {
-    std::vector<EventHandle> handles(300);
-    auto destroy_loaded = [&](auto queue) {
-      for (std::size_t i = 0; i < handles.size(); ++i) {
-        handles[i] = queue->push(1.0 + static_cast<double>(i),
-                                 CrossCancel{&handles, (i + 7) % 300});
-      }
-      queue.reset();  // must not touch freed occupants or the policy
-    };
-    if (policy == 0) {
-      destroy_loaded(std::make_unique<CalendarEventQueue>());
-    } else {
-      destroy_loaded(std::make_unique<HeapEventQueue>());
-    }
+  std::vector<EventHandle> handles(300);
+  auto queue = std::make_unique<EventQueue>();
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    handles[i] = queue->push(1.0 + static_cast<double>(i),
+                             CrossCancel{&handles, (i + 7) % 300});
   }
+  queue.reset();  // must not touch freed occupants or the pending set
 }
 
 TEST(EventEngine, ThrowingCopyDuringPushLeaksNoSlot) {

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -92,28 +93,6 @@ TEST(ShardedSimDifferential, RepeatedRunsAreIdentical) {
   EXPECT_EQ(a.messages, b.messages);
 }
 
-TEST(ShardedSimDifferential, UnbatchedDeliveryProducesTheSameTrace) {
-  // The A/B baseline the batch-path bench gate divides against: per-copy
-  // deliver() instead of deliver_batch trains must be byte-identical in
-  // every observable — the batch APIs are pure scheduling mechanics.
-  const auto ref = reference_run();
-  for (const std::size_t shards : {1u, 4u}) {
-    ShardedMultigroupConfig cfg = base_config();
-    cfg.shards = shards;
-    cfg.batch_delivery = false;
-    const auto unbatched = run_sharded_multigroup(cfg);
-    EXPECT_EQ(unbatched.deliveries, ref.deliveries) << shards << " shards";
-    EXPECT_EQ(unbatched.worst_case_delay, ref.worst_case_delay);
-    ASSERT_TRUE(unbatched.trace == ref.trace)
-        << shards << " shards: unbatched delivery changed the trace";
-  }
-  ShardedMultigroupConfig single = base_config();
-  single.single_threaded = true;
-  single.batch_delivery = false;
-  ASSERT_TRUE(run_sharded_multigroup(single).trace == ref.trace)
-      << "unbatched single-kernel run changed the trace";
-}
-
 TEST(ShardedSimDifferential, MailboxSpillPathPreservesTheTrace) {
   const auto ref = reference_run();
   ShardedMultigroupConfig cfg = base_config();
@@ -145,16 +124,19 @@ TEST(ShardedSimulator, CrossShardPingPongIsExactAndOrdered) {
   sim::ShardedSimulator sharded(cfg);
 
   std::vector<Time> arrivals[2];
-  sharded.set_message_handler(
-      [&arrivals](sim::Shard& shard, const sim::CrossShardMsg& m) {
-        shard.sim().schedule_at(m.deliver_at, [&arrivals, &shard, m] {
-          arrivals[shard.index()].push_back(shard.now());
-          if (shard.now() < 5.0) {
-            shard.post(1 - shard.index(), m.packet, m.dest_host,
-                       shard.now() + shard.lookahead());
-          }
-        });
+  sharded.set_message_handler([&arrivals](
+                                  sim::Shard& shard,
+                                  std::span<const sim::CrossShardMsg> msgs) {
+    for (const sim::CrossShardMsg& m : msgs) {
+      shard.sim().schedule_at(m.deliver_at, [&arrivals, &shard, m] {
+        arrivals[shard.index()].push_back(shard.now());
+        if (shard.now() < 5.0) {
+          shard.post(1 - shard.index(), m.packet, m.dest_host,
+                     shard.now() + shard.lookahead());
+        }
       });
+    }
+  });
   // Kick off: shard 0 posts the first ball at t = 0.5.
   sharded.shard(0).sim().schedule_at(0.0, [&sharded] {
     sim::Packet p;
@@ -179,7 +161,8 @@ TEST(ShardedSimulator, DrainedRunAdvancesClocksToHorizon) {
   cfg.shards = 2;
   cfg.lookahead = 1.0;
   sim::ShardedSimulator sharded(cfg);
-  sharded.set_message_handler([](sim::Shard&, const sim::CrossShardMsg&) {});
+  sharded.set_message_handler(
+      [](sim::Shard&, std::span<const sim::CrossShardMsg>) {});
   int fired = 0;
   sharded.shard(0).sim().schedule_at(1.5, [&fired] { ++fired; });
   sharded.run(4.0);
@@ -193,7 +176,8 @@ TEST(ShardedSimulator, EventAtExactHorizonExecutes) {
   cfg.shards = 2;
   cfg.lookahead = 1.0;
   sim::ShardedSimulator sharded(cfg);
-  sharded.set_message_handler([](sim::Shard&, const sim::CrossShardMsg&) {});
+  sharded.set_message_handler(
+      [](sim::Shard&, std::span<const sim::CrossShardMsg>) {});
   int fired = 0;
   sharded.shard(1).sim().schedule_at(4.0, [&fired] { ++fired; });
   sharded.shard(1).sim().schedule_at(4.0000001, [&fired] { fired += 100; });
@@ -207,7 +191,8 @@ TEST(ShardedSimulator, ModelExceptionPropagatesWithoutDeadlock) {
   cfg.threads = 4;
   cfg.lookahead = 0.25;
   sim::ShardedSimulator sharded(cfg);
-  sharded.set_message_handler([](sim::Shard&, const sim::CrossShardMsg&) {});
+  sharded.set_message_handler(
+      [](sim::Shard&, std::span<const sim::CrossShardMsg>) {});
   // Keep every shard busy so the throw happens mid-protocol, not at idle.
   std::atomic<int> ticks{0};
   for (std::size_t s = 0; s < 4; ++s) {
@@ -260,15 +245,17 @@ TEST(ShardedSimulator, LookaheadPlanChangesWindowWidthMidRun) {
   std::vector<Time> arrivals[2];
   sharded.set_message_handler(
       [&arrivals, epoch_lookahead](sim::Shard& shard,
-                                   const sim::CrossShardMsg& m) {
-        shard.sim().schedule_at(
-            m.deliver_at, [&arrivals, epoch_lookahead, &shard, m] {
-              arrivals[shard.index()].push_back(shard.now());
-              if (shard.now() < 4.0) {
-                shard.post(1 - shard.index(), m.packet, m.dest_host,
-                           shard.now() + epoch_lookahead(shard.now()));
-              }
-            });
+                                   std::span<const sim::CrossShardMsg> msgs) {
+        for (const sim::CrossShardMsg& m : msgs) {
+          shard.sim().schedule_at(
+              m.deliver_at, [&arrivals, epoch_lookahead, &shard, m] {
+                arrivals[shard.index()].push_back(shard.now());
+                if (shard.now() < 4.0) {
+                  shard.post(1 - shard.index(), m.packet, m.dest_host,
+                             shard.now() + epoch_lookahead(shard.now()));
+                }
+              });
+        }
       });
   sharded.shard(0).sim().schedule_at(0.0, [&sharded] {
     sim::Packet p;
@@ -404,10 +391,12 @@ TEST(ShardedSimAsymmetric, PairMatrixWidensWindowsWithoutChangingTheTrace) {
     sim::ShardedSimulator sharded(cfg);
     RunResult r;
     sharded.set_message_handler(
-        [&r](sim::Shard& shard, const sim::CrossShardMsg& m) {
-          shard.sim().schedule_at(m.deliver_at, [&r, &shard] {
-            r.arrivals.push_back(shard.now());
-          });
+        [&r](sim::Shard& shard, std::span<const sim::CrossShardMsg> msgs) {
+          for (const sim::CrossShardMsg& m : msgs) {
+            shard.sim().schedule_at(m.deliver_at, [&r, &shard] {
+              r.arrivals.push_back(shard.now());
+            });
+          }
         });
     // Dense local work: 0.01 ticks to t = 8 on every shard.
     for (std::size_t s = 0; s < 3; ++s) {

@@ -17,7 +17,7 @@ sides report it, falling back to ``real_time`` (lower is better).
 Usage:
     bench_compare.py --current bench_ci.json [--baseline BENCH_pr2.json]
                      [--threshold 0.15] [--tracked REGEX]
-                     [--ab-only] [--ab-suffix Heap]
+                     [--ab-only --ab-suffix SUFFIX]
 
 Without --baseline the newest BENCH_pr<N>.json in the repository root
 (next to this script's parent directory) is used.  Benchmarks present in
@@ -32,10 +32,10 @@ machines are noise — use the A/B gate for those pairs.
 
 ``--ab-only`` switches the gate to the interleaved A/B pairs the bench
 binaries already emit: a benchmark ``BM_X.../arg`` is paired with its
-in-run baseline variant ``BM_X...<suffix>/arg`` (suffix ``Heap`` by
-default, the heap-policy twin of every calendar-queue bench), and the
-gate compares the A/B *speed ratio* of the current run against the A/B
-ratio of the snapshot.  Both sides of a ratio come from the same run on
+in-run baseline variant ``BM_X...<suffix>/arg`` (``--ab-suffix``, required
+with ``--ab-only``: each bench binary names its twins differently, e.g.
+``Fresh`` or ``Off``), and the gate compares the A/B *speed ratio* of the
+current run against the A/B ratio of the snapshot.  Both sides of a ratio come from the same run on
 the same machine, so a slower or faster CI runner cancels out — the gate
 then measures code deltas, not runner deltas.
 """
@@ -171,7 +171,7 @@ def ab_pairs(medians, suffix):
     return pairs
 
 
-def compare_ab(current, baseline, threshold, tracked=None, suffix="Heap"):
+def compare_ab(current, baseline, threshold, suffix, tracked=None):
     """A/B-ratio gate: (failures, lines), immune to runner-speed deltas.
 
     For each tracked pair, ratio = (A/B speed of current run) divided by
@@ -269,10 +269,12 @@ def main(argv=None):
     parser.add_argument("--ab-only", action="store_true",
                         help="gate in-run A/B pair ratios instead of "
                              "absolute numbers (runner-speed immune)")
-    parser.add_argument("--ab-suffix", default="Heap",
+    parser.add_argument("--ab-suffix", default=None,
                         help="suffix identifying a benchmark's in-run "
-                             "baseline twin (default: Heap)")
+                             "baseline twin (required with --ab-only)")
     args = parser.parse_args(argv)
+    if args.ab_only and not args.ab_suffix:
+        parser.error("--ab-only needs --ab-suffix")
 
     try:
         baseline_path = args.baseline or newest_snapshot(args.repo_root)
@@ -282,7 +284,7 @@ def main(argv=None):
         baseline_ctx = load_context(baseline_path)
         if args.ab_only:
             failures, lines = compare_ab(current, baseline, args.threshold,
-                                         args.tracked, args.ab_suffix)
+                                         args.ab_suffix, args.tracked)
         else:
             failures, lines = compare(current, baseline, args.threshold,
                                       args.tracked)

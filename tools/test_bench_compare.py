@@ -7,6 +7,8 @@ must demonstrably FAIL on a synthetic regressed input — is
 ``test_gate_fails_on_regression``.
 """
 
+import contextlib
+import io
 import json
 import os
 import sys
@@ -35,6 +37,9 @@ def aggregate_median(name, items_per_second, real_time):
     return {"name": f"{name}_median", "run_name": name,
             "run_type": "aggregate", "aggregate_name": "median",
             "items_per_second": items_per_second, "real_time": real_time}
+
+
+AB = ["--ab-only", "--ab-suffix", "Base"]
 
 
 class BenchCompareTest(unittest.TestCase):
@@ -151,11 +156,11 @@ class BenchCompareTest(unittest.TestCase):
     def ab_files(self, base_a, base_b, cur_a, cur_b):
         base = self.write("base.json", bench_json([
             iteration("BM_X/1", base_a, 1e9 / base_a),
-            iteration("BM_XHeap/1", base_b, 1e9 / base_b),
+            iteration("BM_XBase/1", base_b, 1e9 / base_b),
         ]))
         cur = self.write("cur.json", bench_json([
             iteration("BM_X/1", cur_a, 1e9 / cur_a),
-            iteration("BM_XHeap/1", cur_b, 1e9 / cur_b),
+            iteration("BM_XBase/1", cur_b, 1e9 / cur_b),
         ]))
         return cur, base
 
@@ -164,50 +169,57 @@ class BenchCompareTest(unittest.TestCase):
         # gate would fail, the ratio gate must not.
         cur, base = self.ab_files(3e6, 2e6, 1e6, 0.667e6)
         self.assertEqual(self.run_main(cur, base), 1)  # absolute gate trips
-        self.assertEqual(self.run_main(cur, base, ["--ab-only"]), 0)
+        self.assertEqual(self.run_main(cur, base, AB), 0)
 
     def test_ab_gate_fails_on_relative_regression(self):
-        # Same machine speed, but the calendar side lost 40% vs its twin.
+        # Same machine speed, but the A side lost 40% vs its twin.
         cur, base = self.ab_files(3e6, 2e6, 1.8e6, 2e6)
-        self.assertEqual(self.run_main(cur, base, ["--ab-only"]), 1)
+        self.assertEqual(self.run_main(cur, base, AB), 1)
 
     def test_ab_gate_improvement_passes(self):
         cur, base = self.ab_files(3e6, 2e6, 6e6, 2e6)
-        self.assertEqual(self.run_main(cur, base, ["--ab-only"]), 0)
+        self.assertEqual(self.run_main(cur, base, AB), 0)
 
     def test_ab_gate_pairs_by_prefix_before_slash(self):
-        # BM_XHeap/1 pairs with BM_X/1; an unpaired name contributes
+        # BM_XBase/1 pairs with BM_X/1; an unpaired name contributes
         # nothing (and a missing current pair only warns).
         base = self.write("base.json", bench_json([
             iteration("BM_X/1", 2e6, 500.0),
-            iteration("BM_XHeap/1", 1e6, 1000.0),
+            iteration("BM_XBase/1", 1e6, 1000.0),
             iteration("BM_Lonely/1", 1e6, 1000.0),
         ]))
         cur = self.write("cur.json", bench_json([
             iteration("BM_X/1", 2e6, 500.0),
-            iteration("BM_XHeap/1", 1e6, 1000.0),
+            iteration("BM_XBase/1", 1e6, 1000.0),
             iteration("BM_Lonely/1", 0.1e6, 10000.0),  # would fail if gated
         ]))
-        self.assertEqual(self.run_main(cur, base, ["--ab-only"]), 0)
+        self.assertEqual(self.run_main(cur, base, AB), 0)
 
     def test_ab_gate_real_time_only_pairs_use_inverse_time(self):
         base = self.write("base.json", bench_json([
             iteration("BM_T", real_time=100.0),
-            iteration("BM_THeap", real_time=200.0),
+            iteration("BM_TBase", real_time=200.0),
         ]))
         # Current: BM_T slowed 2x relative to its twin -> ratio 0.5.
         cur = self.write("cur.json", bench_json([
             iteration("BM_T", real_time=400.0),
-            iteration("BM_THeap", real_time=400.0),
+            iteration("BM_TBase", real_time=400.0),
         ]))
-        self.assertEqual(self.run_main(cur, base, ["--ab-only"]), 1)
+        self.assertEqual(self.run_main(cur, base, AB), 1)
 
     def test_ab_gate_without_pairs_is_a_usage_error(self):
         base = self.write("base.json",
                           bench_json([iteration("BM_X/1", 1e6, 100.0)]))
         cur = self.write("cur.json",
                          bench_json([iteration("BM_X/1", 1e6, 100.0)]))
-        self.assertEqual(self.run_main(cur, base, ["--ab-only"]), 2)
+        self.assertEqual(self.run_main(cur, base, AB), 2)
+
+    def test_ab_gate_requires_a_suffix(self):
+        cur, base = self.ab_files(3e6, 2e6, 3e6, 2e6)
+        with self.assertRaises(SystemExit) as exit_:
+            with contextlib.redirect_stderr(io.StringIO()):
+                self.run_main(cur, base, ["--ab-only"])
+        self.assertEqual(exit_.exception.code, 2)
 
     def test_ab_gate_custom_suffix(self):
         base = self.write("base.json", bench_json([
@@ -276,8 +288,6 @@ class BenchCompareTest(unittest.TestCase):
             [iteration("BM_X/1", 1e6, 100.0)], context={"hw_cores": 1}))
         cur = self.write("cur.json", bench_json(
             [iteration("BM_X/1", 1e6, 100.0)], context={"hw_cores": 8}))
-        import contextlib
-        import io
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = self.run_main(cur, base)
