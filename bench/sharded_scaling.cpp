@@ -1,16 +1,16 @@
 // Sharded-simulator scaling sweep: shard count x host count over the
-// multigroup dissemination model, against the single-threaded reference
-// kernel on the same model.
+// unregulated multigroup model (RegulationScheme::None), against the
+// single-threaded reference kernel on the same model.
 //
 //   BM_ShardedScalingRef/<hosts>          single-threaded Simulator
 //   BM_ShardedScaling/<hosts>/<shards>    ShardedSimulator, auto threads
 //
 // Manual timing: each iteration rebuilds the run but the clock covers
-// only the run() itself (overlay construction is cached and excluded),
-// so items_per_second is events through the kernel per wall second.
+// only the run() itself (overlay construction is excluded), so
+// items_per_second is events through the kernel per wall second.
 // Speedup at S shards on H hosts = items/s of /H/S over items/s of
 // Ref/H.  NOTE: worker threads are capped by the machine;
-// ShardedMultigroupResult.threads in the console output shows what a
+// MultiGroupSimResult.threads in the console output shows what a
 // run actually used — on a 1-core container every configuration
 // serialises and the sweep measures pure window/mailbox overhead
 // instead of speedup (see BENCH_pr3.json provenance note in ROADMAP).
@@ -22,16 +22,17 @@
 
 #include "bench_common.hpp"
 
-#include "experiments/sharded_multigroup.hpp"
+#include "experiments/multigroup_sim.hpp"
 
 namespace {
 
-using emcast::experiments::ShardedMultigroupConfig;
-using emcast::experiments::run_sharded_multigroup;
+using emcast::experiments::MultiGroupSimConfig;
+using emcast::experiments::run_multigroup;
 
-ShardedMultigroupConfig scaled_config(std::size_t hosts) {
-  ShardedMultigroupConfig cfg;
+MultiGroupSimConfig scaled_config(std::size_t hosts) {
+  MultiGroupSimConfig cfg;
   cfg.kind = emcast::experiments::TrafficKind::Audio;
+  cfg.regulation = emcast::experiments::RegulationScheme::None;
   cfg.groups = 3;
   cfg.hosts = hosts;
   cfg.duration = 2.0;
@@ -42,12 +43,11 @@ ShardedMultigroupConfig scaled_config(std::size_t hosts) {
 }
 
 void BM_ShardedScalingRef(benchmark::State& state) {
-  ShardedMultigroupConfig cfg =
+  const MultiGroupSimConfig cfg =
       scaled_config(static_cast<std::size_t>(state.range(0)));
-  cfg.single_threaded = true;
   std::uint64_t events = 0;
   for (auto _ : state) {
-    const auto r = run_sharded_multigroup(cfg);
+    const auto r = run_multigroup(cfg);
     state.SetIterationTime(r.run_seconds);
     events += r.events_executed;
   }
@@ -61,12 +61,13 @@ BENCHMARK(BM_ShardedScalingRef)
     ->Iterations(1);
 
 void BM_ShardedScaling(benchmark::State& state) {
-  ShardedMultigroupConfig cfg =
+  MultiGroupSimConfig cfg =
       scaled_config(static_cast<std::size_t>(state.range(0)));
+  cfg.engine = emcast::sim::EngineKind::Sharded;
   cfg.shards = static_cast<std::size_t>(state.range(1));
   std::uint64_t events = 0;
   for (auto _ : state) {
-    const auto r = run_sharded_multigroup(cfg);
+    const auto r = run_multigroup(cfg);
     state.SetIterationTime(r.run_seconds);
     events += r.events_executed;
     state.counters["threads"] = static_cast<double>(r.threads);
@@ -101,27 +102,29 @@ BENCHMARK(BM_ShardedScaling)
 //   provider_mb       delay-provider footprint (compact oracle: R² + M,
 //                     not (R + M)²).
 // Router count scales ~N/256 to hold the mean attachment-domain size.
-ShardedMultigroupConfig sweep_config(std::size_t hosts, std::size_t shards) {
-  ShardedMultigroupConfig cfg;
+MultiGroupSimConfig sweep_config(std::size_t hosts, std::size_t shards) {
+  MultiGroupSimConfig cfg;
   cfg.kind = emcast::experiments::TrafficKind::Audio;
+  cfg.regulation = emcast::experiments::RegulationScheme::None;
   cfg.groups = 3;
   cfg.hosts = hosts;
   cfg.routers = std::max<std::size_t>(16, hosts / 256);
   cfg.duration = 0.5;
   cfg.warmup = 0.1;
   cfg.seed = 11;
+  cfg.engine = emcast::sim::EngineKind::Sharded;
   cfg.shards = shards;
   cfg.sample_deliveries = 128;
   return cfg;
 }
 
 void BM_HostScaleSweep(benchmark::State& state) {
-  const ShardedMultigroupConfig cfg =
+  const MultiGroupSimConfig cfg =
       sweep_config(static_cast<std::size_t>(state.range(0)),
                    static_cast<std::size_t>(state.range(1)));
   std::uint64_t events = 0;
   for (auto _ : state) {
-    const auto r = run_sharded_multigroup(cfg);
+    const auto r = run_multigroup(cfg);
     state.SetIterationTime(r.run_seconds);
     events += r.events_executed;
     state.counters["threads"] = static_cast<double>(r.threads);

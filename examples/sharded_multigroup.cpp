@@ -1,19 +1,21 @@
-// Sharded multigroup dissemination: run the same scenario on the
-// single-threaded reference kernel and on the sharded simulator, verify
-// the canonical delivery traces match byte-for-byte, and report the
-// scaling telemetry (rounds, cross-shard traffic, events/s).
+// Sharded multigroup dissemination: run the unregulated multigroup model
+// (RegulationScheme::None) on the single-threaded reference kernel and on
+// the sharded simulator, verify the canonical delivery traces match
+// byte-for-byte, and report the scaling telemetry (rounds, cross-shard
+// traffic, events/s).
 //
 //   ./example_sharded_multigroup [hosts] [shards] [groups]
 
 #include <cstdio>
 #include <cstdlib>
 
-#include "experiments/sharded_multigroup.hpp"
+#include "experiments/multigroup_sim.hpp"
 
 int main(int argc, char** argv) {
   using namespace emcast;
-  experiments::ShardedMultigroupConfig cfg;
+  experiments::MultiGroupSimConfig cfg;
   cfg.kind = experiments::TrafficKind::Audio;
+  cfg.regulation = experiments::RegulationScheme::None;
   cfg.hosts = argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 665;
   const std::size_t shards =
       argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 4;
@@ -25,8 +27,7 @@ int main(int argc, char** argv) {
   std::printf("sharded multigroup: %zu hosts, %d groups, %zu shards\n\n",
               cfg.hosts, cfg.groups, shards);
 
-  cfg.single_threaded = true;
-  const auto ref = experiments::run_sharded_multigroup(cfg);
+  const auto ref = experiments::run_multigroup(cfg);
   std::printf("reference   : %8.2f ms wall, %9llu events, %7llu deliveries, "
               "worst %.4f s\n",
               ref.run_seconds * 1e3,
@@ -34,9 +35,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(ref.deliveries),
               ref.worst_case_delay);
 
-  cfg.single_threaded = false;
+  cfg.engine = sim::EngineKind::Sharded;
   cfg.shards = shards;
-  const auto sh = experiments::run_sharded_multigroup(cfg);
+  const auto sh = experiments::run_multigroup(cfg);
   std::printf("%2zu shards   : %8.2f ms wall, %9llu events, %7llu deliveries, "
               "worst %.4f s\n",
               sh.shards, sh.run_seconds * 1e3,

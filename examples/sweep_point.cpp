@@ -51,6 +51,7 @@ RegulationScheme parse_scheme(const std::string& s) {
 
 const char* scheme_slug(RegulationScheme s) {
   switch (s) {
+    case RegulationScheme::None: return "none";
     case RegulationScheme::CapacityAware: return "capacity-aware";
     case RegulationScheme::SigmaRho: return "sigma-rho";
     case RegulationScheme::SigmaRhoLambda: return "sigma-rho-lambda";

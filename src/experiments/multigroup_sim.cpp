@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <functional>
 #include <map>
 #include <memory>
@@ -28,6 +29,7 @@ namespace emcast::experiments {
 
 const char* to_string(RegulationScheme scheme) {
   switch (scheme) {
+    case RegulationScheme::None: return "unregulated";
     case RegulationScheme::CapacityAware: return "capacity-aware";
     case RegulationScheme::SigmaRho: return "(sigma,rho)";
     case RegulationScheme::SigmaRhoLambda: return "(sigma,rho,lambda)";
@@ -126,20 +128,41 @@ bool engine_reusable(const sim::Engine& engine,
   return ec.threads == config.threads;
 }
 
-}  // namespace
+/// Rounds-engine (Sharded/Process) set-up: derive the attachment-domain
+/// partition for a built overlay (weighted by forwarding fan-out),
+/// evaluate it, and fill a sim::EngineConfig with the conservative
+/// lookahead
+///
+///   fwd_overhead + min cross-shard edge propagation.
+///
+/// The bound survives MUX/uplink serialisation because cross-shard posts
+/// are issued at the *exit* of a host's output stage: queueing is paid
+/// before the post, and replication / per-packet copy offsets only add
+/// to the handoff delay (float addition is monotone), so every arrival
+/// satisfies deliver_at >= post time + lookahead.
+struct RoundsEngineSetup {
+  sim::EngineConfig engine;
+  std::size_t cross_edges = 0;
+  std::size_t total_edges = 0;
+};
 
-ShardedMultigroupEngine sharded_engine_config(
-    const overlay::MultiGroupNetwork& mg, std::size_t shards,
-    std::size_t threads, std::size_t mailbox_capacity, Time fwd_overhead) {
-  ShardedMultigroupEngine setup;
-  topology::HostPartition partition =
-      overlay::derive_partition(mg, std::max<std::size_t>(1, shards));
+RoundsEngineSetup rounds_engine_setup(const overlay::MultiGroupNetwork& mg,
+                                      const MultiGroupSimConfig& config) {
+  RoundsEngineSetup setup;
+  const std::size_t shards = std::max<std::size_t>(1, config.shards);
+  const Time fwd_overhead = config.fwd_overhead;
+  topology::HostPartition partition = overlay::derive_partition(mg, shards);
   const overlay::PartitionStats pstats =
       overlay::evaluate_partition(mg, partition.shard_of);
-  setup.engine.kind = sim::EngineKind::Sharded;
-  setup.engine.shards = std::max<std::size_t>(1, shards);
-  setup.engine.threads = threads;
-  setup.engine.mailbox_capacity = mailbox_capacity;
+  setup.engine.kind = config.engine;
+  setup.engine.shards = shards;
+  setup.engine.threads = config.threads;
+  setup.engine.mailbox_capacity = config.mailbox_capacity;
+  if (config.engine == sim::EngineKind::Process) {
+    setup.engine.processes = config.processes;
+    setup.engine.transport = config.transport;
+    setup.engine.timeout_seconds = config.process_timeout_seconds;
+  }
   setup.engine.lookahead =
       fwd_overhead +
       (pstats.cross_edges != 0 ? pstats.min_cross_delay : 0.0);
@@ -150,7 +173,7 @@ ShardedMultigroupEngine sharded_engine_config(
   // scalar uses, applied per ordered pair.  Pairs no tree edge crosses
   // stay +infinity (edge-free).  Sized to the requested shard count:
   // shards the partition left empty have no edges either way.
-  const std::size_t S = setup.engine.shards;
+  const std::size_t S = shards;
   setup.engine.lookahead_matrix.assign(S * S, kTimeInfinity);
   for (std::size_t src = 0; src < pstats.shards; ++src) {
     for (std::size_t dst = 0; dst < pstats.shards; ++dst) {
@@ -166,6 +189,8 @@ ShardedMultigroupEngine sharded_engine_config(
   setup.total_edges = pstats.total_edges;
   return setup;
 }
+
+}  // namespace
 
 std::uint64_t workload_fingerprint(const MultiGroupSimConfig& config) {
   std::uint64_t h = traffic::trace_fingerprint_seed();
@@ -208,6 +233,12 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
   if (!(config.loss_burst >= 1.0)) {
     throw std::invalid_argument(
         "run_multigroup: loss_burst must be >= 1 (mean burst length)");
+  }
+  // Every scheme divides by ρ̄ to size capacities: 0 would give infinite
+  // uplinks and a negative value a schedule in the past.
+  if (!(config.utilization > 0.0 && config.utilization <= 1.0)) {
+    throw std::invalid_argument(
+        "run_multigroup: utilization must be in (0, 1]");
   }
   if (config.churn.enabled) config.churn.validate();
   if (config.record != nullptr &&
@@ -268,15 +299,7 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
     // Sharded and Process share the partition and lookahead derivation —
     // the process backend is the same round protocol with the shard
     // blocks owned by forked workers instead of threads.
-    ShardedMultigroupEngine setup = sharded_engine_config(
-        mg, config.shards, config.threads, config.mailbox_capacity,
-        config.fwd_overhead);
-    if (config.engine == sim::EngineKind::Process) {
-      setup.engine.kind = sim::EngineKind::Process;
-      setup.engine.processes = config.processes;
-      setup.engine.transport = config.transport;
-      setup.engine.timeout_seconds = config.process_timeout_seconds;
-    }
+    RoundsEngineSetup setup = rounds_engine_setup(mg, config);
     r.cross_edges = setup.cross_edges;
     r.total_edges = setup.total_edges;
     // Churn re-parents members mid-run, so the minimum cross-shard edge
@@ -388,10 +411,11 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
   r.delay_bound = churn_on ? delay_bound : 0.0;
 
   // Per-host forwarding pipeline: an AdaptiveHost (regulated schemes) or a
-  // bare work-conserving MUX (capacity-aware).  Only hosts that forward in
-  // at least one tree need one.  Each pipeline is built against the
-  // context of the shard owning the host, so all of its events —
-  // regulators, bank slots, MUX service, control ticks — are shard-local.
+  // bare work-conserving MUX (capacity-aware); the unregulated model has
+  // none.  Only hosts that forward in at least one tree need one.  Each
+  // pipeline is built against the context of the shard owning the host,
+  // so all of its events — regulators, bank slots, MUX service, control
+  // ticks — are shard-local.
   //
   // Scale layout: a host's only per-host footprint is its HostTable lane
   // entry; pipelines live in a DENSE array holding forwarders only,
@@ -409,6 +433,7 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
 
   const bool capacity_aware =
       config.regulation == RegulationScheme::CapacityAware;
+  const bool unregulated = config.regulation == RegulationScheme::None;
   // Capacity-aware hosts replicate through a *shared* uplink of
   // C_host = host_capacity_factor · C (the Fig. 1 model their degree bound
   // comes from); regulated hosts follow the paper's per-hop analysis — one
@@ -454,9 +479,22 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
       }
       return;
     }
+    const Time overhead = config.fwd_overhead + p.size / config.fwd_cpu_rate;
+    if (unregulated) {
+      // Copies leave one after another through the host's own uplink;
+      // each then pays the forwarding overhead and the propagation.
+      Time& busy = table.busy_until(h);
+      const Rate uplink = table.uplink(h);
+      for (const std::size_t child : children) {
+        const Time depart = std::max(ctx.now(), busy) + p.size / uplink;
+        busy = depart;
+        ctx.deliver(static_cast<HostId>(child), p,
+                    depart + (overhead + mg.member_delay(h, child)));
+      }
+      return;
+    }
     // The j-th copy waits j serialisation slots, then pays the forwarding
     // overhead and the underlay propagation.
-    const Time overhead = config.fwd_overhead + p.size / config.fwd_cpu_rate;
     for (std::size_t j = 0; j < children.size(); ++j) {
       const std::size_t child = children[j];
       const Time replication = static_cast<double>(j) * p.size / capacity;
@@ -466,20 +504,22 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
     }
   };
   // Pipeline entry: regulated hosts queue into their AdaptiveHost;
-  // capacity-aware (and source) traffic goes straight to replication.
+  // capacity-aware and unregulated traffic goes straight to replication.
   // One function object for the whole run — the per-host closure the old
   // layout kept (a std::function per HostCtx) is gone.
   std::function<void(std::size_t, sim::Packet, Time)> offer_host =
       [&](std::size_t h, sim::Packet p, Time now) {
-        Pipeline& pl = pipelines[table.pipeline(h)];
-        if (pl.regulated) {
-          pl.regulated->offer(std::move(p));
-        } else {
-          // Capacity-aware: no input regulation; go straight to
-          // replication (copies pass through the shared uplink MUX).
-          p.hop_arrival = now;
-          forward(h, std::move(p));
+        if (!unregulated) {
+          Pipeline& pl = pipelines[table.pipeline(h)];
+          if (pl.regulated) {
+            pl.regulated->offer(std::move(p));
+            return;
+          }
         }
+        // No input regulation: copies pass through the shared uplink MUX
+        // (capacity-aware) or the serialised uplink (unregulated).
+        p.hop_arrival = now;
+        forward(h, std::move(p));
       };
   // The engine's delivery handler runs at the arrival time on the kernel
   // owning the destination: record the end-to-end delay and forward
@@ -549,7 +589,25 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
   } else if (config.regulation == RegulationScheme::Adaptive) {
     mode = core::ControlMode::Adaptive;
   }
+  // One flow copy per child, priced at the child group's rate
+  // (heterogeneous mixes: a video child costs ~23x an audio child).
+  const auto carried_rate = [&mg, &scenario](std::size_t h) {
+    Rate carried = 0;
+    for (int g = 0; g < mg.groups(); ++g) {
+      carried += static_cast<double>(mg.tree(g).children(h).size()) *
+                 scenario.sources[static_cast<std::size_t>(g)]->mean_rate();
+    }
+    return carried;
+  };
   for (std::size_t h = 0; h < n; ++h) {
+    if (unregulated) {
+      // Uplinks sized so each host's carried replication load runs at ρ̄:
+      // heavy forwarders get fat uplinks, the premise degree-bounded
+      // overlays make.
+      table.uplink(h) =
+          std::max(capacity, carried_rate(h) / config.utilization);
+      continue;
+    }
     bool forwards = false;
     for (int g = 0; g < mg.groups(); ++g) {
       if (!mg.tree(g).children(h).empty()) {
@@ -576,21 +634,13 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
       // output capacity exists, so a host's uplink is sized to carry its
       // actual assignment at the budget-safety utilisation (hosts that
       // adopted more children are, by assumption, the stronger hosts).
-      // The uplink must carry one flow copy per child, priced at the
-      // child's group rate (heterogeneous mixes: a video child costs ~23x
-      // an audio child).
-      Rate carried = 0;
-      for (int g = 0; g < mg.groups(); ++g) {
-        carried += static_cast<double>(mg.tree(g).children(h).size()) *
-                   scenario.sources[static_cast<std::size_t>(g)]->mean_rate();
-      }
       // Target uplink utilisation scales with the network load: when
       // capacity is scarce (high ρ̄), the scheme packs hosts closer to
       // their limits — that is exactly why its delays degrade.
       const double target_util =
           std::clamp(config.utilization + 0.04, 0.60, 0.99);
       const Rate uplink = std::max(capacity * host_capacity_factor,
-                                   carried / target_util);
+                                   carried_rate(h) / target_util);
       pl.plain =
           std::make_unique<core::Mux>(host_ctx, uplink, uplink_sink(h));
       table.uplink(h) = uplink;
@@ -838,7 +888,12 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
         });
   }
 
-  engine.run(config.duration + 3.0);
+  r.horizon = config.duration + 3.0;
+  const auto run_start = std::chrono::steady_clock::now();
+  engine.run(r.horizon);
+  r.run_seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - run_start)
+                      .count();
 
   sim::DelayTracer merged(config.warmup);
   merged.enable_quantiles();
@@ -891,6 +946,7 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
       if (pl.regulated) r.mode_switches += pl.regulated->mode_switches();
     }
   }
+  r.events_executed = engine.events_executed();
   r.shards = engine.shard_count();
   r.threads = engine.thread_count();
   r.processes = engine.process_count();

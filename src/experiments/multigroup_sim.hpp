@@ -9,6 +9,13 @@
 //   regulated MUX service at C  +  app-layer forwarding overhead
 //   (constant + size/cpu_rate)  +  replication serialisation
 //   (the j-th child copy waits j·size/C)  +  underlay propagation delay.
+//
+// RegulationScheme::None is the same overlay before the paper's
+// regulators (plain end-host multicast, the scale model): no per-host
+// pipeline, and every forwarder sends its copies one after another
+// through its own uplink of max(C, carried load / ρ̄) (copy j departs at
+// max(now, uplink free) + size/uplink), each hop then paying the
+// forwarding overhead and the underlay propagation.
 
 #include <cstdint>
 #include <memory>
@@ -30,6 +37,7 @@ class TraceRecorder;
 namespace emcast::experiments {
 
 enum class RegulationScheme {
+  None,            ///< no regulators; serialised per-host uplinks, plain tree
   CapacityAware,   ///< no regulators; capacity-aware (degree-bounded) tree
   SigmaRho,        ///< (σ, ρ)-regulated MUXs on the fixed tree
   SigmaRhoLambda,  ///< (σ, ρ, λ)-regulated MUXs on the fixed tree
@@ -48,7 +56,9 @@ struct MultiGroupSimConfig {
   TrafficKind kind = TrafficKind::Audio;
   TreeFamily family = TreeFamily::Dsct;
   RegulationScheme regulation = RegulationScheme::SigmaRho;
-  double utilization = 0.5;     ///< ρ̄: Σ flow rates / C at every host
+  /// ρ̄: Σ flow rates / C at every host; run_multigroup rejects values
+  /// outside (0, 1] (and NaN) with std::invalid_argument.
+  double utilization = 0.5;
   int groups = 3;
   std::size_t hosts = 665;
   std::size_t cluster_k = 3;    ///< DSCT/NICE k
@@ -140,7 +150,7 @@ struct MultiGroupSimResult {
   double utilization = 0;
   Time worst_case_delay = 0;    ///< WDB estimate: max end-to-end delay [s]
   Time mean_delay = 0;
-  std::uint64_t deliveries = 0;
+  std::uint64_t deliveries = 0;  ///< post-warm-up deliveries
   std::uint64_t losses = 0;     ///< copies dropped by injected loss
   /// deliveries / (deliveries + losses); 1.0 when loss injection is off.
   double delivery_ratio = 1.0;
@@ -178,8 +188,14 @@ struct MultiGroupSimResult {
   std::size_t total_edges = 0;
   Time lookahead = 0;
   std::size_t lookahead_epochs = 0;  ///< plan epochs (0 = uniform lookahead)
-  /// Canonical delivery trace; empty unless collect_trace.
+  /// Canonical delivery trace (warm-up included); empty unless
+  /// collect_trace.
   DeliveryTrace trace;
+
+  // Run cost.
+  std::uint64_t events_executed = 0;
+  double run_seconds = 0;  ///< wall time of the engine run alone
+  Time horizon = 0;        ///< simulated span (duration + drain tail)
 
   // Scale telemetry (topology/host_table.hpp budget + streaming stats).
   std::size_t host_state_bytes = 0;  ///< lanes + pipelines + loss models
@@ -227,27 +243,6 @@ const topology::AttachedNetwork& default_network(std::size_t hosts = 665,
 /// three cache keys.
 const topology::AttachedNetwork& default_hierarchical_network(
     std::size_t routers, std::size_t hosts, std::uint64_t seed = 42);
-
-/// Sharded-engine setup shared by the multigroup experiments: derive the
-/// attachment-domain partition for a built overlay (weighted by
-/// forwarding fan-out), evaluate it, and fill a sim::EngineConfig with
-/// the conservative lookahead
-///
-///   fwd_overhead + min cross-shard edge propagation.
-///
-/// The bound survives MUX/uplink serialisation because cross-shard posts
-/// are issued at the *exit* of a host's output stage: queueing is paid
-/// before the post, and replication / per-packet copy offsets only add
-/// to the handoff delay (float addition is monotone), so every arrival
-/// satisfies deliver_at >= post time + lookahead.
-struct ShardedMultigroupEngine {
-  sim::EngineConfig engine;
-  std::size_t cross_edges = 0;
-  std::size_t total_edges = 0;
-};
-ShardedMultigroupEngine sharded_engine_config(
-    const overlay::MultiGroupNetwork& mg, std::size_t shards,
-    std::size_t threads, std::size_t mailbox_capacity, Time fwd_overhead);
 
 /// Tree-structure-only evaluation (Tables I–III): build the K trees for a
 /// scheme at a given ρ̄ and report layer counts without running traffic.

@@ -36,7 +36,7 @@
 // order), so the set of (time, payload) tuples matches bit-for-bit;
 // within-shard tie order at equal times follows local scheduling order,
 // which model-level canonical trace ordering (sort by time image + stable
-// payload key) makes irrelevant — see experiments/sharded_multigroup.
+// payload key) makes irrelevant — see experiments/delivery_trace.hpp.
 
 #include <atomic>
 #include <cstdint>

@@ -231,6 +231,19 @@ TEST(MultiGroupConfigValidation, RejectsBadFailureKnobs) {
   c.loss_burst = 0.5;  // mean burst below one packet is meaningless
   EXPECT_THROW(run_multigroup(c), std::invalid_argument);
   c.loss_burst = 3.0;
+  // ρ̄ sizes every capacity: 0 would give infinite uplinks and a negative
+  // value a schedule in the past, failing deep in the scheduler.
+  for (const RegulationScheme reg :
+       {RegulationScheme::None, RegulationScheme::SigmaRho}) {
+    c.regulation = reg;
+    for (const double u :
+         {0.0, -0.5, std::numeric_limits<double>::quiet_NaN()}) {
+      c.utilization = u;
+      EXPECT_THROW(run_multigroup(c), std::invalid_argument)
+          << to_string(reg) << ", utilization " << u;
+    }
+  }
+  c.utilization = 0.5;
   c.churn.enabled = true;
   c.churn.crash_fraction = 2.0;
   EXPECT_THROW(run_multigroup(c), std::invalid_argument);

@@ -17,7 +17,6 @@
 #include <cstddef>
 
 #include "experiments/multigroup_sim.hpp"
-#include "experiments/sharded_multigroup.hpp"
 
 namespace emcast::experiments {
 namespace {
@@ -49,10 +48,12 @@ TEST(MillionHostDemo, AllFourSchemesComplete) {
 }
 
 TEST(MillionHostDemo, ShardCountsAgreeAtScale) {
-  // The unregulated capacity model under the sharded backend: summaries
-  // (k-min sample, sketch quantiles, delivery count) must be identical
-  // for 2 and 4 shards at 10^6 hosts.
-  ShardedMultigroupConfig base;
+  // The unregulated model under the sharded backend: summaries (k-min
+  // sample, sketch quantiles, delivery count) must be identical for 2 and
+  // 4 shards at 10^6 hosts.
+  MultiGroupSimConfig base;
+  base.regulation = RegulationScheme::None;
+  base.engine = sim::EngineKind::Sharded;
   base.hosts = kMillionHosts;
   base.routers = kRouters;
   base.duration = 0.02;
@@ -60,12 +61,12 @@ TEST(MillionHostDemo, ShardCountsAgreeAtScale) {
   base.sample_deliveries = 256;
   base.threads = 2;
 
-  ShardedMultigroupConfig two = base;
+  MultiGroupSimConfig two = base;
   two.shards = 2;
-  ShardedMultigroupConfig four = base;
+  MultiGroupSimConfig four = base;
   four.shards = 4;
-  const ShardedMultigroupResult r2 = run_sharded_multigroup(two);
-  const ShardedMultigroupResult r4 = run_sharded_multigroup(four);
+  const MultiGroupSimResult r2 = run_multigroup(two);
+  const MultiGroupSimResult r4 = run_multigroup(four);
   ASSERT_GT(r2.deliveries, kMillionHosts);
   EXPECT_EQ(r2.deliveries, r4.deliveries);
   EXPECT_EQ(r2.sample, r4.sample);

@@ -4,8 +4,9 @@
 // would pass them unnoticed; these digests compare each run with the
 // output recorded before such a change.  Covered: the regulated fan-out
 // and MPEG frame trains on Single and 4-shard Sharded (the drain handler),
-// TraceSource replay trains, the dissemination fan-out at 1 and 4 shards,
-// and a CbrSource train racing events that tie with its ticks.
+// TraceSource replay trains, the unregulated dissemination fan-out on
+// Single, Sharded at 1 and 4 shards and Process, and a CbrSource train
+// racing events that tie with its ticks.
 //
 // A digest that moves is a behaviour change: explain every changed bit
 // before re-pinning.
@@ -17,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include "experiments/multigroup_sim.hpp"
-#include "experiments/sharded_multigroup.hpp"
 #include "sim/pending_entry.hpp"
 #include "sim/simulator.hpp"
 #include "traffic/cbr_source.hpp"
@@ -114,8 +114,10 @@ TEST(GoldenTrace, TraceReplay) {
 }
 
 TEST(GoldenTrace, DisseminationFanOut) {
-  ShardedMultigroupConfig cfg;
+  MultiGroupSimConfig cfg;
   cfg.kind = TrafficKind::Audio;
+  cfg.regulation = RegulationScheme::None;
+  cfg.utilization = 0.5;
   cfg.groups = 3;
   cfg.hosts = 96;
   cfg.duration = 1.0;
@@ -123,16 +125,19 @@ TEST(GoldenTrace, DisseminationFanOut) {
   cfg.seed = 7;
   cfg.collect_trace = true;
   const char* pin = "5bc7592c02bde111";
-  ShardedMultigroupConfig reference = cfg;
-  reference.single_threaded = true;
-  EXPECT_EQ(trace_hash(run_sharded_multigroup(reference).trace), pin)
-      << "single kernel";
+  EXPECT_EQ(trace_hash(run_multigroup(cfg).trace), pin) << "single kernel";
+  cfg.engine = sim::EngineKind::Sharded;
   for (const std::size_t shards : {1u, 4u}) {
     cfg.shards = shards;
-    const ShardedMultigroupResult out = run_sharded_multigroup(cfg);
+    const MultiGroupSimResult out = run_multigroup(cfg);
     ASSERT_GT(out.trace.size(), 1000u);
     EXPECT_EQ(trace_hash(out.trace), pin) << shards << " shards";
   }
+  cfg.engine = sim::EngineKind::Process;
+  cfg.shards = 4;
+  cfg.processes = 2;
+  EXPECT_EQ(trace_hash(run_multigroup(cfg).trace), pin)
+      << "Process, 4 shards on 2 workers";
 }
 
 TEST(GoldenTrace, CbrTrainAgainstTiedEvents) {

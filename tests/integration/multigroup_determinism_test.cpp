@@ -1,7 +1,9 @@
-// Differential determinism suite for the *regulated* multigroup model —
-// the full paper pipeline (AdaptiveHost: token buckets / (σ,ρ,λ) bank /
-// general MUX, per-host loss processes, replication serialisation) run
-// through the engine-agnostic SimContext API on both backends.
+// Differential determinism suite for the multigroup model — the full
+// paper pipeline (AdaptiveHost: token buckets / (σ,ρ,λ) bank / general
+// MUX, per-host loss processes, replication serialisation) and the
+// unregulated model (RegulationScheme::None: serialised per-host
+// uplinks) run through the engine-agnostic SimContext API on both
+// backends.
 //
 // Contract: run_multigroup with EngineKind::Sharded produces a canonical
 // delivery trace byte-identical to EngineKind::Single, for every shard
@@ -9,10 +11,14 @@
 // The suite name matches the ShardedSim* concurrency filter, so these
 // runs are also exercised under TSan in CI.
 
+#include <cstddef>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "experiments/multigroup_sim.hpp"
 #include "experiments/sweep.hpp"
+#include "sim/pending_entry.hpp"
 
 namespace emcast::experiments {
 namespace {
@@ -45,42 +51,63 @@ MultiGroupSimResult run_sharded(MultiGroupSimConfig c, std::size_t shards,
   return run_multigroup(c);
 }
 
+// The unregulated model and the paper's (σ, ρ) pipeline: the two
+// inputs of the shard- and thread-count checks below.
+constexpr RegulationScheme kBaseSchemes[] = {RegulationScheme::None,
+                                             RegulationScheme::SigmaRho};
+
 TEST(ShardedSimRegulated, ReferenceProducesTraffic) {
-  const auto ref =
-      run_reference(base_config(TrafficKind::Audio, RegulationScheme::SigmaRho));
-  EXPECT_GT(ref.deliveries, 1000u);
-  EXPECT_EQ(ref.shards, 1u);
-  EXPECT_GT(ref.trace.size(), ref.deliveries)
-      << "trace includes warm-up deliveries, the tracer count excludes them";
-  EXPECT_GT(ref.worst_case_delay, 0.0);
+  for (const RegulationScheme reg : kBaseSchemes) {
+    const auto cfg = base_config(TrafficKind::Audio, reg);
+    const auto ref = run_reference(cfg);
+    EXPECT_GT(ref.deliveries, 1000u) << to_string(reg);
+    EXPECT_EQ(ref.shards, 1u);
+    // The trace keeps warm-up deliveries and the tracer count does not:
+    // the records at or after the warm-up instant are exactly the count.
+    const std::uint64_t warm_key = sim::time_key(cfg.warmup);
+    std::size_t after_warmup = 0;
+    for (const DeliveryRecord& rec : ref.trace) {
+      if (rec.time_key >= warm_key) ++after_warmup;
+    }
+    EXPECT_LT(after_warmup, ref.trace.size()) << to_string(reg);
+    EXPECT_EQ(after_warmup, ref.deliveries) << to_string(reg);
+    EXPECT_GT(ref.worst_case_delay, 0.0) << to_string(reg);
+  }
 }
 
 TEST(ShardedSimRegulated, ShardCountsProduceByteIdenticalTraces) {
-  const auto cfg = base_config(TrafficKind::Audio, RegulationScheme::SigmaRho);
-  const auto ref = run_reference(cfg);
-  for (const std::size_t shards : {1u, 2u, 4u}) {
-    const auto sharded = run_sharded(cfg, shards);
-    EXPECT_EQ(sharded.deliveries, ref.deliveries) << shards << " shards";
-    // max is order-independent: bit-equal, not just approximately equal.
-    EXPECT_EQ(sharded.worst_case_delay, ref.worst_case_delay)
-        << shards << " shards";
-    ASSERT_TRUE(sharded.trace == ref.trace)
-        << shards << " shards: canonical delivery traces differ";
-    if (shards > 1) {
-      EXPECT_GT(sharded.messages, 0u) << "expected cross-shard traffic";
-      EXPECT_GT(sharded.rounds, 0u);
-      EXPECT_GT(sharded.lookahead, 0.0);
+  for (const RegulationScheme reg : kBaseSchemes) {
+    const auto cfg = base_config(TrafficKind::Audio, reg);
+    const auto ref = run_reference(cfg);
+    for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+      const auto sharded = run_sharded(cfg, shards);
+      EXPECT_EQ(sharded.deliveries, ref.deliveries)
+          << to_string(reg) << ", " << shards << " shards";
+      // max is order-independent: bit-equal, not just approximately equal.
+      EXPECT_EQ(sharded.worst_case_delay, ref.worst_case_delay)
+          << to_string(reg) << ", " << shards << " shards";
+      ASSERT_TRUE(sharded.trace == ref.trace)
+          << to_string(reg) << ", " << shards
+          << " shards: canonical delivery traces differ";
+      if (shards > 1) {
+        EXPECT_GT(sharded.messages, 0u) << "expected cross-shard traffic";
+        EXPECT_GT(sharded.rounds, 0u);
+        EXPECT_GT(sharded.lookahead, 0.0);
+      }
     }
   }
 }
 
 TEST(ShardedSimRegulated, WorkerThreadCountNeverChangesTheTrace) {
-  const auto cfg = base_config(TrafficKind::Audio, RegulationScheme::SigmaRho);
-  const auto ref = run_reference(cfg);
-  for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
-    const auto sharded = run_sharded(cfg, 4, threads);
-    ASSERT_TRUE(sharded.trace == ref.trace)
-        << threads << " worker threads: traces differ";
+  for (const RegulationScheme reg : kBaseSchemes) {
+    const auto cfg = base_config(TrafficKind::Audio, reg);
+    const auto ref = run_reference(cfg);
+    for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+      const auto sharded = run_sharded(cfg, 4, threads);
+      ASSERT_TRUE(sharded.trace == ref.trace)
+          << to_string(reg) << ", " << threads
+          << " worker threads: traces differ";
+    }
   }
 }
 

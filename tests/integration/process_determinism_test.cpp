@@ -117,8 +117,9 @@ TEST(ProcessSimConformance, ShardCountNeverChangesResults) {
 
 TEST(ProcessSimConformance, AllRegulationSchemesMatch) {
   for (const RegulationScheme reg :
-       {RegulationScheme::CapacityAware, RegulationScheme::SigmaRho,
-        RegulationScheme::SigmaRhoLambda, RegulationScheme::Adaptive}) {
+       {RegulationScheme::None, RegulationScheme::CapacityAware,
+        RegulationScheme::SigmaRho, RegulationScheme::SigmaRhoLambda,
+        RegulationScheme::Adaptive}) {
     auto cfg = base_config(TrafficKind::Audio, reg);
     // High load so the λ bank engages and the adaptive controller
     // actually switches — the state-heaviest paths.

@@ -18,13 +18,13 @@
 #include <vector>
 
 #include "experiments/multigroup_sim.hpp"
-#include "experiments/sharded_multigroup.hpp"
 
 namespace emcast::experiments {
 namespace {
 
 TEST(ScaleDeterminism, UnregulatedShardCountsByteIdenticalOnHierarchical) {
-  ShardedMultigroupConfig base;
+  MultiGroupSimConfig base;
+  base.regulation = RegulationScheme::None;
   base.hosts = 2000;
   base.routers = 32;
   base.groups = 3;
@@ -33,17 +33,16 @@ TEST(ScaleDeterminism, UnregulatedShardCountsByteIdenticalOnHierarchical) {
   base.collect_trace = true;
   base.sample_deliveries = 64;
 
-  ShardedMultigroupConfig ref = base;
-  ref.single_threaded = true;
-  const ShardedMultigroupResult reference = run_sharded_multigroup(ref);
+  const MultiGroupSimResult reference = run_multigroup(base);
   ASSERT_GT(reference.deliveries, 0u);
   ASSERT_EQ(reference.sample.size(), 64u);
 
   for (const std::size_t shards : {1u, 2u, 4u}) {
-    ShardedMultigroupConfig c = base;
+    MultiGroupSimConfig c = base;
+    c.engine = sim::EngineKind::Sharded;
     c.shards = shards;
     c.threads = 2;
-    const ShardedMultigroupResult r = run_sharded_multigroup(c);
+    const MultiGroupSimResult r = run_multigroup(c);
     EXPECT_EQ(r.trace, reference.trace) << shards << " shards";
     EXPECT_EQ(r.sample, reference.sample) << shards << " shards";
     EXPECT_EQ(r.deliveries, reference.deliveries);
@@ -93,17 +92,17 @@ TEST(ScaleDeterminism, SampleIsTruncationOfCanonicalDeliverySet) {
   // The k-min sample must be a subset of the full trace — same records,
   // bit for bit — and a pure function of the delivered multiset: a
   // bigger k keeps every record the smaller k kept.
-  ShardedMultigroupConfig c;
+  MultiGroupSimConfig c;
+  c.regulation = RegulationScheme::None;
   c.hosts = 1200;
   c.routers = 24;
   c.duration = 0.5;
   c.warmup = 0.0;
   c.collect_trace = true;
   c.sample_deliveries = 16;
-  c.single_threaded = true;
-  const ShardedMultigroupResult small = run_sharded_multigroup(c);
+  const MultiGroupSimResult small = run_multigroup(c);
   c.sample_deliveries = 64;
-  const ShardedMultigroupResult big = run_sharded_multigroup(c);
+  const MultiGroupSimResult big = run_multigroup(c);
   ASSERT_EQ(small.sample.size(), 16u);
   ASSERT_EQ(big.sample.size(), 64u);
   for (const DeliveryRecord& rec : small.sample) {
@@ -119,7 +118,8 @@ TEST(ScaleDeterminism, TenThousandHostSmoke) {
   // hierarchical underlay, shard counts agree on summaries, and the
   // compact providers hold the memory line (the full DelayMatrix alone
   // would be (routers + hosts)^2 * 8 bytes ~ 0.8 GB here).
-  ShardedMultigroupConfig base;
+  MultiGroupSimConfig base;
+  base.regulation = RegulationScheme::None;
   base.hosts = 10000;
   base.routers = 64;
   base.groups = 3;
@@ -127,13 +127,12 @@ TEST(ScaleDeterminism, TenThousandHostSmoke) {
   base.warmup = 0.1;
   base.sample_deliveries = 128;
 
-  ShardedMultigroupConfig a = base;
-  a.single_threaded = true;
-  ShardedMultigroupConfig b = base;
+  MultiGroupSimConfig b = base;
+  b.engine = sim::EngineKind::Sharded;
   b.shards = 4;
   b.threads = 2;
-  const ShardedMultigroupResult ra = run_sharded_multigroup(a);
-  const ShardedMultigroupResult rb = run_sharded_multigroup(b);
+  const MultiGroupSimResult ra = run_multigroup(base);
+  const MultiGroupSimResult rb = run_multigroup(b);
   ASSERT_GT(ra.deliveries, 0u);
   EXPECT_EQ(ra.deliveries, rb.deliveries);
   EXPECT_EQ(ra.sample, rb.sample);

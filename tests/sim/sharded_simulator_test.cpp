@@ -1,11 +1,11 @@
-// Differential determinism suite for the sharded simulator.
-//
-// The contract under test: a sharded run of the multigroup dissemination
-// model produces a byte-identical canonical delivery trace to the
-// single-threaded Simulator on the same model — for every shard count,
-// every worker-thread count, and every mailbox capacity (including ones
-// tiny enough to force the spill path).  Plus direct ShardedSimulator
-// mechanics: window progression, message ordering, error propagation.
+// Sharded simulator suite: direct ShardedSimulator mechanics (window
+// progression, message ordering, lookahead plans and matrices, error
+// propagation), plus the two engine-level checks of the unregulated
+// multigroup model (RegulationScheme::None) that the model differential
+// suite (tests/integration/multigroup_determinism_test.cpp) does not
+// make: a repeated sharded run is identical, rounds and messages
+// included, and a mailbox so small that nearly every staged message
+// spills still yields the single-kernel trace.
 
 #include <atomic>
 #include <cstdint>
@@ -16,19 +16,19 @@
 
 #include <gtest/gtest.h>
 
-#include "experiments/sharded_multigroup.hpp"
+#include "experiments/multigroup_sim.hpp"
 #include "sim/sharded_simulator.hpp"
 
 namespace emcast {
 namespace {
 
-using experiments::ShardedMultigroupConfig;
-using experiments::ShardedMultigroupResult;
-using experiments::run_sharded_multigroup;
+using experiments::MultiGroupSimConfig;
+using experiments::run_multigroup;
 
-ShardedMultigroupConfig base_config() {
-  ShardedMultigroupConfig cfg;
+MultiGroupSimConfig dissemination_config() {
+  MultiGroupSimConfig cfg;
   cfg.kind = experiments::TrafficKind::Audio;
+  cfg.regulation = experiments::RegulationScheme::None;
   cfg.groups = 3;
   cfg.hosts = 96;
   cfg.duration = 1.0;
@@ -38,70 +38,29 @@ ShardedMultigroupConfig base_config() {
   return cfg;
 }
 
-ShardedMultigroupResult reference_run() {
-  ShardedMultigroupConfig cfg = base_config();
-  cfg.single_threaded = true;
-  return run_sharded_multigroup(cfg);
-}
-
-TEST(ShardedSimDifferential, ReferenceProducesTraffic) {
-  const auto ref = reference_run();
-  EXPECT_GT(ref.deliveries, 1000u);
-  EXPECT_EQ(ref.trace.size(), ref.deliveries);
-  EXPECT_GT(ref.worst_case_delay, 0.0);
-}
-
-TEST(ShardedSimDifferential, ShardCountsProduceByteIdenticalTraces) {
-  const auto ref = reference_run();
-  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    ShardedMultigroupConfig cfg = base_config();
-    cfg.shards = shards;
-    const auto sharded = run_sharded_multigroup(cfg);
-    EXPECT_EQ(sharded.deliveries, ref.deliveries) << shards << " shards";
-    // max is order-independent: bit-equal, not just approximately equal.
-    EXPECT_EQ(sharded.worst_case_delay, ref.worst_case_delay)
-        << shards << " shards";
-    ASSERT_TRUE(sharded.trace == ref.trace)
-        << shards << " shards: canonical delivery traces differ";
-    if (shards > 1) {
-      EXPECT_GT(sharded.messages, 0u) << "expected cross-shard traffic";
-      EXPECT_GT(sharded.rounds, 0u);
-      EXPECT_GT(sharded.lookahead, 0.0);
-    }
-  }
-}
-
-TEST(ShardedSimDifferential, WorkerThreadCountNeverChangesTheTrace) {
-  const auto ref = reference_run();
-  for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
-    ShardedMultigroupConfig cfg = base_config();
-    cfg.shards = 4;
-    cfg.threads = threads;
-    const auto sharded = run_sharded_multigroup(cfg);
-    ASSERT_TRUE(sharded.trace == ref.trace)
-        << threads << " worker threads: traces differ";
-  }
+MultiGroupSimConfig sharded(MultiGroupSimConfig cfg, std::size_t shards) {
+  cfg.engine = sim::EngineKind::Sharded;
+  cfg.shards = shards;
+  return cfg;
 }
 
 TEST(ShardedSimDifferential, RepeatedRunsAreIdentical) {
-  ShardedMultigroupConfig cfg = base_config();
-  cfg.shards = 4;
-  const auto a = run_sharded_multigroup(cfg);
-  const auto b = run_sharded_multigroup(cfg);
+  const MultiGroupSimConfig cfg = sharded(dissemination_config(), 4);
+  const auto a = run_multigroup(cfg);
+  const auto b = run_multigroup(cfg);
   ASSERT_TRUE(a.trace == b.trace);
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.messages, b.messages);
 }
 
 TEST(ShardedSimDifferential, MailboxSpillPathPreservesTheTrace) {
-  const auto ref = reference_run();
-  ShardedMultigroupConfig cfg = base_config();
-  cfg.shards = 4;
+  const auto ref = run_multigroup(dissemination_config());
+  MultiGroupSimConfig cfg = sharded(dissemination_config(), 4);
   cfg.mailbox_capacity = 1;  // ~every staged message overflows the ring
-  const auto sharded = run_sharded_multigroup(cfg);
-  EXPECT_GT(sharded.messages_spilled, 0u)
+  const auto out = run_multigroup(cfg);
+  EXPECT_GT(out.messages_spilled, 0u)
       << "capacity 1 should force the spill path";
-  ASSERT_TRUE(sharded.trace == ref.trace);
+  ASSERT_TRUE(out.trace == ref.trace);
 }
 
 // ---- direct ShardedSimulator mechanics ----------------------------------

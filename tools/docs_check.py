@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency gate.
 
-Two checks, both cheap enough for every CI run and for ctest:
+Three checks, all cheap enough for every CI run and for ctest:
 
 1. **Link check** — every relative markdown link in ``README.md`` and
    ``docs/*.md`` must point at a file or directory that exists (external
@@ -15,6 +15,13 @@ Two checks, both cheap enough for every CI run and for ctest:
    map uses for header/impl pairs (``context.{``, covering
    ``context.{hpp,cpp}``).  Adding a new source file without documenting
    it fails CI — the map cannot silently rot.
+
+3. **Stale rows** — the other direction: every file a table row names
+   (the backticked names in its first cell) under a ``### `src/<sub>/` ``
+   heading of the map must exist as ``src/<sub>/<file>``.  The
+   ``{hpp,cpp}`` shorthand is expanded first, so ``mux.{hpp,cpp}`` needs
+   both ``mux.hpp`` and ``mux.cpp``.  Deleting a source file without
+   deleting its row fails CI.
 
 Usage:
     docs_check.py [--repo-root PATH]
@@ -36,6 +43,11 @@ _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _EXTERNAL_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*:")  # http:, mailto:, …
 
 _SOURCE_SUFFIXES = {".hpp", ".cpp", ".h", ".cc"}
+
+# "### `src/sim/` — ..." opens a directory-map section for src/sim.
+_MAP_HEADING_RE = re.compile(r"^###\s+`src/([^`]+?)/?`")
+_CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+_BRACES_RE = re.compile(r"^(.*)\{([^{}]*)\}(.*)$")
 
 
 class DocsLayoutError(Exception):
@@ -119,6 +131,46 @@ def check_drift(repo_root):
     return problems
 
 
+def expand_braces(name):
+    """``mux.{hpp,cpp}`` -> [``mux.hpp``, ``mux.cpp``]; other names as-is."""
+    match = _BRACES_RE.match(name)
+    if not match:
+        return [name]
+    head, alternatives, tail = match.groups()
+    return [head + alt.strip() + tail for alt in alternatives.split(",")]
+
+
+def map_rows(text):
+    """(subsystem, file name) for every file a directory-map row names."""
+    subsystem = None
+    for line in text.splitlines():
+        if line.startswith("#"):
+            heading = _MAP_HEADING_RE.match(line)
+            subsystem = heading.group(1) if heading else None
+            continue
+        if subsystem is None or not line.startswith("|"):
+            continue
+        first_cell = line.split("|")[1]
+        for span in _CODE_SPAN_RE.findall(first_cell):
+            for name in expand_braces(span.strip()):
+                yield subsystem, name
+
+
+def check_stale_rows(repo_root):
+    """Directory-map rows naming files that do not exist under src/."""
+    arch = Path(repo_root) / "docs" / "architecture.md"
+    if not arch.is_file():
+        raise DocsLayoutError("docs/architecture.md does not exist")
+    problems = []
+    for subsystem, name in map_rows(arch.read_text(encoding="utf-8")):
+        rel = f"src/{subsystem}/{name}"
+        if not (Path(repo_root) / rel).is_file():
+            problems.append(
+                f"docs/architecture.md: directory map names {rel}, "
+                "which does not exist")
+    return problems
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -128,7 +180,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        problems = check_links(args.repo_root) + check_drift(args.repo_root)
+        problems = (check_links(args.repo_root) + check_drift(args.repo_root)
+                    + check_stale_rows(args.repo_root))
     except (DocsLayoutError, OSError) as err:
         print(f"docs_check: {err}", file=sys.stderr)
         return 2

@@ -3,9 +3,10 @@
 
 Run directly (``python3 tools/test_docs_check.py``) or through ctest
 (registered as ``docs_check_selftest``).  The critical cases — the gate
-must demonstrably FAIL on a broken link and on an undocumented source
-file — are ``test_fails_on_broken_link`` and
-``test_fails_on_undocumented_source``.
+must demonstrably FAIL on a broken link, on an undocumented source file
+and on a map row naming a deleted file — are
+``test_fails_on_broken_link``, ``test_fails_on_undocumented_source`` and
+``test_fails_on_stale_brace_row``.
 """
 
 import os
@@ -120,6 +121,60 @@ class DocsCheckTest(unittest.TestCase):
         self.write("src/sim/README.txt", "")
         self.write("docs/architecture.md", "")
         self.assertEqual(self.run_main(), 0)
+
+    # -- stale rows --------------------------------------------------------
+
+    MAP = ("## Directory map\n\n"
+           "### `src/sim/` — the machine\n\n"
+           "| files | what |\n"
+           "|---|---|\n"
+           "{rows}\n"
+           "## Tests\n\n"
+           "| `gone.hpp` | outside the map: not checked |\n")
+
+    def test_rows_naming_existing_files_pass(self):
+        self.write("src/sim/mailbox.hpp", "")
+        self.write("src/sim/mailbox.cpp", "")
+        self.write("src/sim/pending_entry.hpp", "")
+        self.write("docs/architecture.md", self.MAP.format(
+            rows="| `mailbox.{hpp,cpp}` | rings |\n"
+                 "| `pending_entry.hpp` | record |"))
+        self.assertEqual(self.run_main(), 0)
+
+    def test_fails_on_stale_brace_row(self):
+        # The row's shorthand names a header/impl pair that was deleted;
+        # another row still covers the surviving file, so only the stale
+        # direction can catch it.
+        self.write("src/sim/mailbox.hpp", "")
+        self.write("src/sim/mailbox.cpp", "")
+        self.write("docs/architecture.md", self.MAP.format(
+            rows="| `mailbox.{hpp,cpp}` | rings |\n"
+                 "| `old_harness.{hpp,cpp}` | deleted |"))
+        self.assertEqual(self.run_main(), 1)
+        problems = docs_check.check_stale_rows(self.root)
+        self.assertEqual(len(problems), 2)
+        self.assertIn("src/sim/old_harness.hpp", problems[0])
+        self.assertIn("src/sim/old_harness.cpp", problems[1])
+
+    def test_fails_when_one_half_of_a_pair_is_missing(self):
+        self.write("src/sim/link.hpp", "")
+        self.write("docs/architecture.md", self.MAP.format(
+            rows="| `link.{hpp,cpp}` | links |"))
+        self.assertEqual(docs_check.check_stale_rows(self.root),
+                         ["docs/architecture.md: directory map names "
+                          "src/sim/link.cpp, which does not exist"])
+
+    def test_file_in_another_subsystem_does_not_count(self):
+        self.write("src/util/rng.hpp", "")
+        self.write("docs/architecture.md", self.MAP.format(
+            rows="| `rng.hpp` | misplaced |"))
+        self.assertEqual(self.run_main(), 1)
+
+    def test_brace_expansion(self):
+        self.assertEqual(docs_check.expand_braces("mux.{hpp,cpp}"),
+                         ["mux.hpp", "mux.cpp"])
+        self.assertEqual(docs_check.expand_braces("source.hpp"),
+                         ["source.hpp"])
 
 
 if __name__ == "__main__":
