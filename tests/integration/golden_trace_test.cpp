@@ -5,8 +5,12 @@
 // output recorded before such a change.  Covered: the regulated fan-out
 // and MPEG frame trains on Single and 4-shard Sharded (the drain handler),
 // TraceSource replay trains, the unregulated dissemination fan-out on
-// Single, Sharded at 1 and 4 shards and Process, and a CbrSource train
-// racing events that tie with its ticks.
+// Single, Sharded at 1 and 4 shards and Process, a CbrSource train
+// racing events that tie with its ticks, and churn: the resolved churn
+// timelines and lookahead plans of the shared churn slice
+// (tests/experiments/churn_slice.hpp) on both delay providers, and the
+// crash-heavy and flash-join traces of churn_determinism_test.cpp on
+// Single and 4-shard Sharded.
 //
 // A digest that moves is a behaviour change: explain every changed bit
 // before re-pinning.
@@ -17,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include "../experiments/churn_slice.hpp"
+#include "experiments/churn_schedule.hpp"
 #include "experiments/multigroup_sim.hpp"
 #include "sim/pending_entry.hpp"
 #include "sim/simulator.hpp"
@@ -177,6 +183,86 @@ TEST(GoldenTrace, CbrTrainAgainstTiedEvents) {
   sim.run();
   EXPECT_GT(entries, 290u);
   EXPECT_EQ(h.hex(), "c445aff3295e3730");
+}
+
+/// Digest of every resolved timeline (counters and actions) and every
+/// lookahead plan of the churn slice on one network.
+std::string churn_timeline_hash(const churn_slice::Network& net) {
+  const auto maps = churn_slice::shard_maps(*net.mg);
+  Fnv h;
+  for (const ChurnConfig& c : churn_slice::configs(net)) {
+    const ChurnSchedule s = churn_slice::schedule(net, c);
+    for (const std::uint64_t counter :
+         {s.raw_events, s.crashes, s.leaves, s.rejoins, s.repairs,
+          s.dropped_raw}) {
+      h.mix(counter);
+    }
+    h.mix(s.actions.size());
+    for (const sim::FaultEvent& ev : s.actions) {
+      h.mix(sim::time_key(ev.at));
+      h.mix(ev.kind);
+      h.mix(static_cast<std::uint32_t>(ev.subject));
+    }
+    for (const churn_slice::ShardMap& m : maps) {
+      const auto plan = churn_lookahead_plan(s, *net.mg, c, m.shard_of,
+                                             250e-6, m.fallback_min_delay);
+      h.mix(plan.size());
+      for (const sim::LookaheadEpoch& e : plan) {
+        h.mix(sim::time_key(e.from));
+        h.mix(sim::time_key(e.lookahead));
+      }
+    }
+  }
+  return h.hex();
+}
+
+TEST(GoldenTrace, ChurnTimelineFig5DenseMatrix) {
+  const churn_slice::Network net = churn_slice::networks()[0];
+  ASSERT_FALSE(net.mg->compact_delays());
+  EXPECT_EQ(churn_timeline_hash(net), "d48c9e7b03dc7344");
+}
+
+TEST(GoldenTrace, ChurnTimelineHierarchicalOracle) {
+  const churn_slice::Network net = churn_slice::networks()[1];
+  ASSERT_TRUE(net.mg->compact_delays());
+  EXPECT_EQ(churn_timeline_hash(net), "9f52e2cb48516c5c");
+}
+
+/// The 96-host churn base of churn_determinism_test.cpp.
+MultiGroupSimConfig churn_run_config() {
+  MultiGroupSimConfig c;
+  c.kind = TrafficKind::Audio;
+  c.family = TreeFamily::Dsct;
+  c.regulation = RegulationScheme::SigmaRho;
+  c.utilization = 0.6;
+  c.hosts = 96;
+  c.duration = 1.5;
+  c.warmup = 0.25;
+  c.seed = 7;
+  c.collect_trace = true;
+  c.churn.enabled = true;
+  c.churn.seed = 13;
+  c.churn.detection_timeout = 0.05;
+  c.churn.settle_window = 0.2;
+  return c;
+}
+
+TEST(GoldenTrace, ChurnCrashHeavy) {
+  MultiGroupSimConfig c = churn_run_config();
+  c.churn.leave_rate = 0.25;
+  c.churn.crash_fraction = 0.9;
+  c.churn.rejoin_rate = 2.0;
+  c.churn.domain_failure_rate = 1.0;
+  expect_on_both_engines(c, "5bacbb9ec44ff6f9");
+}
+
+TEST(GoldenTrace, ChurnFlashJoin) {
+  MultiGroupSimConfig c = churn_run_config();
+  c.churn.leave_rate = 0.05;
+  c.churn.crash_fraction = 0.3;
+  c.churn.flash_join_at = 0.8;
+  c.churn.flash_join_count = 24;
+  expect_on_both_engines(c, "8cdf28c9faf16adb");
 }
 
 }  // namespace
