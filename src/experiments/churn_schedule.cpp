@@ -62,12 +62,27 @@ void ChurnState::reset(const overlay::MultiGroupNetwork& mg,
     }
   }
   down_.assign(mg.host_count(), 0);
+  mg_ = &mg;
   // Single-pointer capture: stays inside std::function's inline buffer,
   // so rebinding on a warm replica does not allocate.
   const overlay::MultiGroupNetwork* net = &mg;
   rtt_ = [net](std::size_t a, std::size_t b) {
     return net->member_delay(a, b);
   };
+  // Hosts are tree members (member i is host i).  The router-level join
+  // is exact only on degree-1 leaves, so check that here, as
+  // HostDelayOracle does.
+  const topology::AttachedNetwork& underlay = mg.network();
+  rejoin_.build(mg.host_count(), [&](std::size_t h) {
+    const auto& edges = underlay.graph.neighbors(underlay.hosts[h]);
+    if (edges.size() != 1 || !underlay.is_router(edges[0].to)) {
+      throw std::invalid_argument(
+          "ChurnState: host is not a degree-1 leaf on a router");
+    }
+    return overlay::RejoinIndex::Entry{
+        edges[0].to, static_cast<std::uint32_t>(h), mg.host_access_delay(h)};
+  });
+  router_delay_.resize(rejoin_.buckets());
   fanout_ = cfg.repair_fanout;
   settle_window_ = cfg.settle_window;
   repair_active_until_ = -kTimeInfinity;
@@ -96,14 +111,25 @@ void ChurnState::apply(const sim::FaultEvent& ev, Time now) {
       repair_active_until_ =
           std::max(repair_active_until_, now + settle_window_);
       break;
-    case ChurnAction::JoinComplete:
+    case ChurnAction::JoinComplete: {
+      // The joiner's delay to each attachment router, filled once and
+      // shared by every tree.
+      bool filled = false;
       for (auto& t : trees_) {
-        if (!t.alive(h)) t.join(h, rtt_, fanout_);
+        if (t.alive(h)) continue;
+        if (!filled) {
+          for (std::size_t k = 0; k < rejoin_.buckets(); ++k) {
+            router_delay_[k] = mg_->host_router_delay(h, rejoin_.router(k));
+          }
+          filled = true;
+        }
+        t.join(h, rejoin_, router_delay_, fanout_);
       }
       down_[h] = 0;
       repair_active_until_ =
           std::max(repair_active_until_, now + settle_window_);
       break;
+    }
   }
   ++applied_;
 }
@@ -243,6 +269,7 @@ ChurnSchedule make_churn_schedule(
   // Resolve in time order against an offline replica, exactly the state
   // machine the kernels replay online.
   ChurnSchedule out;
+  if (queue.empty()) return out;  // churn off: no replica to build
   ChurnState state;
   state.reset(mg, cfg);
   std::vector<std::uint8_t> pending(n, 0);
@@ -363,42 +390,91 @@ ChurnSchedule make_churn_schedule(
 
 // ---- lookahead plan for the sharded engine -------------------------------
 
+CrossShardEdges::CrossShardEdges(ChurnState& state,
+                                 const overlay::MultiGroupNetwork& mg,
+                                 const std::vector<std::uint32_t>& shard_of)
+    : state_(state),
+      mg_(mg),
+      shard_of_(shard_of),
+      orphans_(static_cast<std::size_t>(mg.groups())) {
+  for (int g = 0; g < mg.groups(); ++g) {
+    const overlay::ChurnTree& t = state.tree(g);
+    for (std::size_t h = 0; h < t.size(); ++h) {
+      if (!t.alive(h)) continue;
+      for (const std::size_t c : t.children(h)) add(h, c);
+    }
+  }
+}
+
+void CrossShardEdges::add(std::size_t parent, std::size_t child) {
+  if (shard_of_[parent] == shard_of_[child]) return;
+  ++delays_[mg_.member_delay(parent, child)];
+}
+
+void CrossShardEdges::remove(std::size_t parent, std::size_t child) {
+  if (shard_of_[parent] == shard_of_[child]) return;
+  const auto it = delays_.find(mg_.member_delay(parent, child));
+  if (it == delays_.end()) {
+    throw std::logic_error("CrossShardEdges: removing an unknown edge");
+  }
+  if (--it->second == 0) delays_.erase(it);
+}
+
+void CrossShardEdges::apply(const sim::FaultEvent& ev) {
+  if (static_cast<ChurnAction>(ev.kind) == ChurnAction::HostDown) {
+    state_.apply(ev, ev.at);  // changes no edge
+    return;
+  }
+  constexpr std::size_t npos = overlay::MulticastTree::npos;
+  const auto h = static_cast<std::size_t>(ev.subject);
+  const int groups = mg_.groups();
+  // Drop every edge at the subject; remember its children, whose parent
+  // edges the repair re-creates elsewhere.
+  for (int g = 0; g < groups; ++g) {
+    const overlay::ChurnTree& t = state_.tree(g);
+    auto& orphans = orphans_[static_cast<std::size_t>(g)];
+    orphans.assign(t.children(h).begin(), t.children(h).end());
+    if (!t.alive(h)) continue;
+    if (t.parent(h) != npos) remove(t.parent(h), h);
+    for (const std::size_t c : orphans) remove(h, c);
+  }
+  state_.apply(ev, ev.at);
+  // Re-add the subject's edges and the former children's parent edges.
+  for (int g = 0; g < groups; ++g) {
+    const overlay::ChurnTree& t = state_.tree(g);
+    if (t.alive(h)) {
+      if (t.parent(h) != npos) add(t.parent(h), h);
+      for (const std::size_t c : t.children(h)) add(h, c);
+    }
+    for (const std::size_t c : orphans_[static_cast<std::size_t>(g)]) {
+      const std::size_t p = t.parent(c);
+      if (t.alive(c) && p != npos && p != h) add(p, c);
+    }
+  }
+}
+
 std::vector<sim::LookaheadEpoch> churn_lookahead_plan(
     const ChurnSchedule& schedule, const overlay::MultiGroupNetwork& mg,
     const ChurnConfig& cfg, const std::vector<std::uint32_t>& shard_of,
     Time fwd_overhead, Time fallback_min_delay) {
-  if (shard_of.empty()) return {};
+  // No action: a single epoch, which is no plan.
+  if (shard_of.empty() || schedule.actions.empty()) return {};
 
   ChurnState state;
   state.reset(mg, cfg);
-  auto cross_min = [&]() {
-    Time m = kTimeInfinity;
-    for (int g = 0; g < mg.groups(); ++g) {
-      const overlay::ChurnTree& t = state.tree(g);
-      for (std::size_t h = 0; h < t.size(); ++h) {
-        if (!t.alive(h)) continue;
-        for (std::size_t c : t.children(h)) {
-          if (shard_of[h] != shard_of[c]) {
-            m = std::min(m, mg.member_delay(h, c));
-          }
-        }
-      }
-    }
-    return m;
-  };
+  CrossShardEdges cross(state, mg, shard_of);
 
   // Segment the run at every tree-mutating action; HostDown changes no
   // edges.  Same-instant actions fold into one segment with the min over
   // their intermediate edge sets (conservative for same-instant ties).
   std::vector<Time> seg_start{0.0};
-  std::vector<Time> seg_min{cross_min()};
+  std::vector<Time> seg_min{cross.min()};
   for (const sim::FaultEvent& ev : schedule.actions) {
+    cross.apply(ev);
     if (static_cast<ChurnAction>(ev.kind) == ChurnAction::HostDown) {
-      state.apply(ev, ev.at);
       continue;
     }
-    state.apply(ev, ev.at);
-    const Time m = cross_min();
+    const Time m = cross.min();
     if (ev.at > seg_start.back()) {
       seg_start.push_back(ev.at);
       seg_min.push_back(m);

@@ -35,8 +35,16 @@
 // whole), leaving the plan with few epochs; when a repair does create a
 // shorter cross-shard edge, the plan remaps the window width at a window
 // boundary (see ShardedSimulator::set_lookahead_plan).
+//
+// Cost: every pass pays for what an action changes, not for the size of
+// the overlay.  A rejoin fills the joiner's delay to each attachment
+// router once and searches the router buckets of a RejoinIndex in every
+// tree (overlay/repair.hpp); the plan keeps the alive cross-shard edge
+// delays in a counted multiset (CrossShardEdges) updated with the edges
+// each action adds or removes.
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "overlay/multigroup.hpp"
@@ -130,6 +138,8 @@ class ChurnState {
   ChurnState() = default;
 
   /// (Re)bind to the run's trees; pass the same mg on every kernel.
+  /// Builds the rejoin index over mg's hosts and throws
+  /// std::invalid_argument if a host is not a degree-1 leaf on a router.
   void reset(const overlay::MultiGroupNetwork& mg, const ChurnConfig& cfg);
 
   bool down(std::size_t host) const { return down_[host] != 0; }
@@ -151,12 +161,48 @@ class ChurnState {
  private:
   std::vector<overlay::ChurnTree> trees_;
   std::vector<std::uint8_t> down_;
-  overlay::RttFn rtt_;
+  const overlay::MultiGroupNetwork* mg_ = nullptr;
+  overlay::RttFn rtt_;  ///< leave(): root promotion
+  overlay::RejoinIndex rejoin_;
+  std::vector<Time> router_delay_;  ///< the joiner's delay per rejoin_ bucket
   std::size_t fanout_ = 8;
   Time settle_window_ = 0;
   Time repair_active_until_ = -kTimeInfinity;
   std::uint64_t applied_ = 0;
   std::uint64_t reparented_ = 0;
+};
+
+/// The alive cross-shard tree edges of a ChurnState replica, as a counted
+/// multiset of their delays (member_delay(parent, child)).  Actions go
+/// through apply(), which updates the multiset with only the edges the
+/// action changes: the subject's parent and child edges, and its orphans'
+/// new parent edges.
+class CrossShardEdges {
+ public:
+  /// Index the alive cross-shard edges of `state`'s current trees.  All
+  /// three referents must outlive this object.
+  CrossShardEdges(ChurnState& state, const overlay::MultiGroupNetwork& mg,
+                  const std::vector<std::uint32_t>& shard_of);
+
+  /// state.apply(ev, ev.at), keeping the multiset current.
+  void apply(const sim::FaultEvent& ev);
+
+  /// Minimum delay over the alive cross-shard edges; kTimeInfinity when
+  /// no edge crosses.
+  Time min() const {
+    return delays_.empty() ? kTimeInfinity : delays_.begin()->first;
+  }
+
+ private:
+  void add(std::size_t parent, std::size_t child);
+  void remove(std::size_t parent, std::size_t child);
+
+  ChurnState& state_;
+  const overlay::MultiGroupNetwork& mg_;
+  const std::vector<std::uint32_t>& shard_of_;
+  std::map<Time, std::size_t> delays_;  ///< delay -> alive edge count
+  /// Per group, the subject's children before the action.
+  std::vector<std::vector<std::size_t>> orphans_;
 };
 
 /// Replay `schedule` offline against `mg`'s trees and derive the

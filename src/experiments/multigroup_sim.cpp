@@ -697,21 +697,36 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
     r.delay_provider_bytes = mg.delay_memory_bytes();
   }
 
+  // Pipeline indices per owning shard, ascending: the re-convergence
+  // probes and the Process result blobs walk their own shard's
+  // forwarders, not every pipeline.
+  const bool probe_reconv =
+      churn_on && config.regulation == RegulationScheme::Adaptive;
+  std::vector<std::vector<std::uint32_t>> shard_pipelines;
+  if (probe_reconv || config.engine == sim::EngineKind::Process) {
+    shard_pipelines.resize(engine.shard_count());
+    for (std::size_t i = 0; i < pipelines.size(); ++i) {
+      shard_pipelines[engine.shard_of_host(
+                          static_cast<HostId>(pipelines[i].host))]
+          .push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+
   // Small-capture bridge: source sinks and re-convergence probes live in
   // 56-byte inline-function slots, so they reach the frame state through
   // one pointer instead of capturing it piecewise.
   struct ChurnRuntime {
     std::function<void(std::size_t, sim::Packet, Time)>* offer = nullptr;
     std::vector<Pipeline>* pipelines = nullptr;
+    const std::vector<std::vector<std::uint32_t>>* shard_pipelines = nullptr;
     std::vector<ChurnState>* replicas = nullptr;
     std::vector<ShardState>* shard_state = nullptr;
     const overlay::MultiGroupNetwork* mg = nullptr;
-    sim::Engine* engine = nullptr;
     Time settle = 0;
     bool churn_on = false;
-  } rt{&offer_host, &pipelines, &replicas, &shard_state,
-       &mg,         &engine,    config.churn.settle_window,
-       churn_on};
+  } rt{&offer_host, &pipelines, &shard_pipelines,
+       &replicas,   &shard_state, &mg,
+       config.churn.settle_window, churn_on};
 
   // Sources inject into their group's root pipeline (on the root's shard).
   // In replay mode the scenario's live sources are left unstarted and a
@@ -759,8 +774,6 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
   // scans this kernel's hosts for a controller mode switch attributable
   // to the repair — the re-convergence statistic.
   if (churn_on) {
-    const bool probe_reconv =
-        config.regulation == RegulationScheme::Adaptive;
     injector.set_handler([&replicas, &rt, probe_reconv](
                              sim::SimContext ctx, const sim::FaultEvent& ev) {
       replicas[ctx.shard_index()].apply(ev, ctx.now());
@@ -771,14 +784,10 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
       const Time done = ctx.now();
       ctx.schedule_at(done + rt.settle, [rtp = &rt, ctx, done] {
         ShardState& ss = (*rtp->shard_state)[ctx.shard_index()];
-        // Dense scan: every regulated pipeline carries its host index, so
-        // the probe walks forwarders only instead of all n hosts.
-        for (const Pipeline& pl : *rtp->pipelines) {
+        for (const std::uint32_t i :
+             (*rtp->shard_pipelines)[ctx.shard_index()]) {
+          const Pipeline& pl = (*rtp->pipelines)[i];
           if (!pl.regulated) continue;
-          if (rtp->engine->shard_of_host(static_cast<HostId>(pl.host)) !=
-              ctx.shard_index()) {
-            continue;
-          }
           const Time t = pl.regulated->last_mode_switch_time();
           if (t > done && t <= done + rtp->settle) {
             ss.reconv_sum += t - done;
@@ -843,10 +852,9 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
           // in-process engines; here the counters live in this worker, so
           // each shard ships the sum over the hosts it owns.
           std::uint64_t switches = 0;
-          for (const Pipeline& pl : pipelines) {
-            if (pl.regulated &&
-                engine.shard_of_host(static_cast<HostId>(pl.host)) == s) {
-              switches += pl.regulated->mode_switches();
+          for (const std::uint32_t i : shard_pipelines[s]) {
+            if (pipelines[i].regulated) {
+              switches += pipelines[i].regulated->mode_switches();
             }
           }
           w.u64(switches);

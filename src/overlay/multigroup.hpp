@@ -65,6 +65,23 @@ class MultiGroupNetwork {
                    : delays_->at(net_->hosts[a], net_->hosts[b]);
   }
 
+  /// One-way delay from host `a` to router `r`, and host `a`'s access
+  /// delay (hosts must be degree-1 leaves on routers).  They decompose
+  /// member_delay bit for bit on both providers: for distinct hosts a, b
+  /// with b attached to router r,
+  ///   member_delay(a, b) == host_router_delay(a, r) + host_access_delay(b)
+  /// (the dense matrix fills a leaf target as dist[attach] + access; the
+  /// oracle sums (access(a) + R) + access(b)).
+  Time host_router_delay(std::size_t a, NodeId r) const {
+    return oracle_ ? oracle_->access(a) +
+                         oracle_->between_routers(oracle_->attach(a), r)
+                   : delays_->at(net_->hosts[a], r);
+  }
+  Time host_access_delay(std::size_t a) const {
+    return oracle_ ? oracle_->access(a)
+                   : net_->graph.neighbors(net_->hosts[a]).front().delay;
+  }
+
   /// True when the compact router-level oracle backs member_delay.
   bool compact_delays() const { return oracle_ != nullptr; }
 

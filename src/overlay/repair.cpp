@@ -96,17 +96,25 @@ std::size_t ChurnTree::leave(std::size_t i, const RttFn& rtt) {
   return reparented;
 }
 
+void ChurnTree::attach(std::size_t i, std::size_t parent) {
+  alive_[i] = true;
+  ++alive_count_;
+  parent_[i] = parent;
+  if (parent == MulticastTree::npos) {
+    // First member back into an emptied tree restarts it as root.
+    root_ = i;
+  } else {
+    children_[parent].push_back(i);
+  }
+}
+
 void ChurnTree::join(std::size_t i, const RttFn& rtt,
                      std::size_t max_fanout) {
   if (i >= parent_.size() || alive_[i]) {
     throw std::invalid_argument("ChurnTree::join: not a departed member");
   }
   if (alive_count_ == 0) {
-    // First member back into an emptied tree restarts it as root.
-    alive_[i] = true;
-    alive_count_ = 1;
-    root_ = i;
-    parent_[i] = MulticastTree::npos;
+    attach(i, MulticastTree::npos);
     return;
   }
   std::size_t best = MulticastTree::npos;
@@ -132,10 +140,58 @@ void ChurnTree::join(std::size_t i, const RttFn& rtt,
       }
     }
   }
-  alive_[i] = true;
-  ++alive_count_;
-  parent_[i] = best;
-  children_[best].push_back(i);
+  attach(i, best);
+}
+
+std::size_t ChurnTree::nearest(const RejoinIndex& index,
+                               std::span<const Time> router_delay,
+                               std::size_t max_fanout) const {
+  const auto eligible = [&](std::size_t m) {
+    return alive_[m] && children_[m].size() < max_fanout;
+  };
+  std::size_t best = MulticastTree::npos;
+  Time best_delay = kTimeInfinity;
+  for (std::size_t k = 0; k < index.buckets(); ++k) {
+    const Time x = router_delay[k];
+    const std::span<const RejoinIndex::Entry> bucket = index.members(k);
+    std::size_t j = 0;
+    while (j < bucket.size() && !eligible(bucket[j].member)) ++j;
+    if (j == bucket.size()) continue;
+    const Time d = x + bucket[j].access;
+    if (!(d <= best_delay)) continue;
+    std::size_t pick = bucket[j].member;
+    for (++j; j < bucket.size() && x + bucket[j].access == d; ++j) {
+      if (bucket[j].member < pick && eligible(bucket[j].member)) {
+        pick = bucket[j].member;
+      }
+    }
+    // The reference scan takes a strictly smaller delay, so an infinite
+    // delay is never chosen and equal delays keep the lowest index.
+    if (d < best_delay ||
+        (best != MulticastTree::npos && d == best_delay && pick < best)) {
+      best = pick;
+      best_delay = d;
+    }
+  }
+  return best;
+}
+
+void ChurnTree::join(std::size_t i, const RejoinIndex& index,
+                     std::span<const Time> router_delay,
+                     std::size_t max_fanout) {
+  if (i >= parent_.size() || alive_[i]) {
+    throw std::invalid_argument("ChurnTree::join: not a departed member");
+  }
+  if (alive_count_ == 0) {
+    attach(i, MulticastTree::npos);
+    return;
+  }
+  std::size_t best = nearest(index, router_delay, max_fanout);
+  if (best == MulticastTree::npos) {
+    // Every member is full: the closest alive member regardless.
+    best = nearest(index, router_delay, static_cast<std::size_t>(-1));
+  }
+  attach(i, best);
 }
 
 int ChurnTree::depth(std::size_t i) const {

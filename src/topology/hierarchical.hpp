@@ -106,6 +106,9 @@ class HostDelayOracle {
 
   std::size_t router_count() const { return router_delay_.size(); }
   std::size_t host_count() const { return access_.size(); }
+  /// Host h's access-link delay and attachment router.
+  Time access(std::size_t h) const { return access_[h]; }
+  NodeId attach(std::size_t h) const { return attach_[h]; }
 
   std::size_t memory_bytes() const {
     return sizeof(*this) +

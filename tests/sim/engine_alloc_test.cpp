@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include "core/adaptive_host.hpp"
+#include "experiments/churn_schedule.hpp"
+#include "experiments/multigroup_sim.hpp"
 #include "overlay/repair.hpp"
 #include "sim/context.hpp"
 #include "sim/event_queue.hpp"
@@ -455,6 +457,49 @@ TEST(EngineAllocation, ChurnReplayWarmRerunIsAllocationFree) {
     EXPECT_EQ(t.alive_count(), replicas[0].alive_count())
         << "replicas diverged";
   }
+}
+
+TEST(EngineAllocation, ChurnStateWarmResetAndReplayIsAllocationFree) {
+  // The replica every kernel holds under churn: ChurnState::reset rebuilds
+  // the rejoin index and apply() runs the router-level join.  After one
+  // pass, a warm reset plus the replay of the same resolved schedule
+  // (rejoins included) must allocate nothing.
+  overlay::MultiGroupConfig mc;
+  mc.groups = 2;
+  const overlay::MultiGroupNetwork mg(experiments::default_network(96, 42),
+                                      mc);
+  experiments::ChurnConfig cfg;
+  cfg.enabled = true;
+  cfg.leave_rate = 0.4;
+  cfg.crash_fraction = 0.6;
+  cfg.rejoin_rate = 2.0;
+  cfg.domain_failure_rate = 0.5;
+  cfg.detection_timeout = 0.05;
+  cfg.flash_join_at = 2.0;
+  cfg.flash_join_count = 8;
+  const std::vector<std::size_t> sources{mg.source(0), mg.source(1)};
+  const experiments::ChurnSchedule schedule =
+      experiments::make_churn_schedule(cfg, mg, sources, {}, 4.0);
+  std::size_t joins = 0;
+  for (const FaultEvent& ev : schedule.actions) {
+    joins += static_cast<experiments::ChurnAction>(ev.kind) ==
+             experiments::ChurnAction::JoinComplete;
+  }
+  ASSERT_GT(joins, 10u);
+
+  experiments::ChurnState state;
+  state.reset(mg, cfg);
+  for (const FaultEvent& ev : schedule.actions) state.apply(ev, ev.at);
+  const std::size_t reparented = state.reparented();
+
+  const std::size_t before = g_allocations.load();
+  state.reset(mg, cfg);
+  for (const FaultEvent& ev : schedule.actions) state.apply(ev, ev.at);
+  EXPECT_EQ(g_allocations.load(), before)
+      << "warm ChurnState reset + replay (rejoin index, router-level "
+         "joins) must not allocate";
+  EXPECT_EQ(state.applied(), schedule.actions.size());
+  EXPECT_EQ(state.reparented(), reparented);
 }
 
 TEST(EngineAllocation, TraceReplaySteadyStateIsAllocationFree) {
