@@ -111,25 +111,19 @@ void ChurnState::apply(const sim::FaultEvent& ev, Time now) {
       repair_active_until_ =
           std::max(repair_active_until_, now + settle_window_);
       break;
-    case ChurnAction::JoinComplete: {
-      // The joiner's delay to each attachment router, filled once and
-      // shared by every tree.
-      bool filled = false;
+    case ChurnAction::JoinComplete:
+      // The joiner's delay to each attachment router, shared by every
+      // tree.
+      for (std::size_t k = 0; k < rejoin_.buckets(); ++k) {
+        router_delay_[k] = mg_->host_router_delay(h, rejoin_.router(k));
+      }
       for (auto& t : trees_) {
-        if (t.alive(h)) continue;
-        if (!filled) {
-          for (std::size_t k = 0; k < rejoin_.buckets(); ++k) {
-            router_delay_[k] = mg_->host_router_delay(h, rejoin_.router(k));
-          }
-          filled = true;
-        }
-        t.join(h, rejoin_, router_delay_, fanout_);
+        if (!t.alive(h)) t.join(h, rejoin_, router_delay_, fanout_);
       }
       down_[h] = 0;
       repair_active_until_ =
           std::max(repair_active_until_, now + settle_window_);
       break;
-    }
   }
   ++applied_;
 }
