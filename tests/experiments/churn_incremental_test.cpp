@@ -257,8 +257,8 @@ TEST(RouterLevelRejoin, JoinIntoAnEmptiedTreeRestartsItAsRoot) {
   EXPECT_TRUE(t.valid());
 }
 
-/// Today's full rescan: the minimum delay over every alive cross-shard
-/// tree edge (the oracle the multiset replaces).
+/// The oracle: the minimum delay over every alive cross-shard tree edge,
+/// by a rescan of every tree.
 Time cross_min_rescan(const ChurnState& state,
                       const overlay::MultiGroupNetwork& mg,
                       const std::vector<std::uint32_t>& shard_of) {
