@@ -152,7 +152,8 @@ class ChurnTree {
 
  private:
   void detach_from_parent(std::size_t i);
-  /// Mark departed member i alive again as a child of `parent`.
+  /// Mark departed member i alive again as a child of `parent`, or as
+  /// the root of an emptied tree when `parent` is npos.
   void attach(std::size_t i, std::size_t parent);
   /// The alive member with fewer than max_fanout children closest to the
   /// newcomer (lowest index among equal delays); npos if none.
