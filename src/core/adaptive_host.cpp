@@ -115,7 +115,7 @@ void AdaptiveHost::offer(sim::Packet p) {
 }
 
 void AdaptiveHost::on_mux_output(sim::Packet p) {
-  tracer_.record_delay(p.flow, ctx_.now() - p.hop_arrival, ctx_.now());
+  tracer_.record_delay(ctx_.now() - p.hop_arrival, ctx_.now());
   ++p.hops;
   sink_(std::move(p));
 }

@@ -352,9 +352,7 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
     std::uint64_t churn_losses = 0;
     std::uint64_t violations_repair = 0;
     std::uint64_t violations_steady = 0;
-    double reconv_sum = 0;
-    Time reconv_max = 0;
-    std::uint64_t reconv_count = 0;
+    util::OnlineStats reconv;
   };
   std::vector<ShardState> shard_state(engine.shard_count());
   for (auto& s : shard_state) {
@@ -789,11 +787,7 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
           const Pipeline& pl = (*rtp->pipelines)[i];
           if (!pl.regulated) continue;
           const Time t = pl.regulated->last_mode_switch_time();
-          if (t > done && t <= done + rtp->settle) {
-            ss.reconv_sum += t - done;
-            ss.reconv_max = std::max(ss.reconv_max, t - done);
-            ++ss.reconv_count;
-          }
+          if (t > done && t <= done + rtp->settle) ss.reconv.add(t - done);
         }
       });
     });
@@ -845,9 +839,7 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
           w.u64(ss.churn_losses);
           w.u64(ss.violations_repair);
           w.u64(ss.violations_steady);
-          w.f64(ss.reconv_sum);
-          w.f64(ss.reconv_max);
-          w.u64(ss.reconv_count);
+          ss.reconv.save(w);
           // Mode switches are scraped off the pipelines post-run on the
           // in-process engines; here the counters live in this worker, so
           // each shard ships the sum over the hosts it owns.
@@ -874,9 +866,7 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
           ss.churn_losses = rd.u64();
           ss.violations_repair = rd.u64();
           ss.violations_steady = rd.u64();
-          ss.reconv_sum = rd.f64();
-          ss.reconv_max = rd.f64();
-          ss.reconv_count = rd.u64();
+          ss.reconv.load(rd);
           process_mode_switches += rd.u64();
           // Re-offering the worker's winners reproduces its sample
           // exactly: the winning set is a pure function of the offered
@@ -906,6 +896,7 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
   sim::DelayTracer merged(config.warmup);
   merged.enable_quantiles();
   util::KMinSample<DeliveryRecord> merged_sample(config.sample_deliveries);
+  util::OnlineStats reconv;
   std::uint64_t losses = 0;
   for (auto& s : shard_state) {
     merged.merge(s.tracer);
@@ -914,17 +905,14 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
     r.churn_losses += s.churn_losses;
     r.violations_in_repair += s.violations_repair;
     r.violations_steady += s.violations_steady;
-    r.reconvergence_max = std::max(r.reconvergence_max, s.reconv_max);
-    r.reconvergence_mean += s.reconv_sum;  // sum for now; divided below
-    r.reconvergence_samples += s.reconv_count;
+    reconv.merge(s.reconv);
     if (config.collect_trace) {
       r.trace.insert(r.trace.end(), s.trace.begin(), s.trace.end());
     }
   }
-  r.reconvergence_mean = r.reconvergence_samples > 0
-                             ? r.reconvergence_mean /
-                                   static_cast<double>(r.reconvergence_samples)
-                             : 0.0;
+  r.reconvergence_max = reconv.max();
+  r.reconvergence_mean = reconv.mean();
+  r.reconvergence_samples = reconv.count();
   r.churn_events = churn_schedule.raw_events;
   r.churn_repairs = churn_schedule.repairs;
   if (config.collect_trace) canonicalize(r.trace);

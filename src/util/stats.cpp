@@ -3,12 +3,24 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "util/bytes.hpp"
 
 namespace emcast::util {
 
+namespace {
+
+using u128 = unsigned __int128;
+
+}  // namespace
+
 void OnlineStats::add(double x) {
+  // NaN fails the comparison too.
+  if (!(std::fabs(x) < 0x1p63)) {
+    throw std::invalid_argument(
+        "OnlineStats::add: sample is NaN, infinite or |x| >= 2^63");
+  }
   if (n_ == 0) {
     min_ = max_ = x;
   } else {
@@ -16,9 +28,27 @@ void OnlineStats::add(double x) {
     max_ = std::max(max_, x);
   }
   ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  // |x| = whole + fraction, and the fraction's 64 bits come in two 32-bit
+  // halves.  Every subtraction and power-of-two scaling here is exact,
+  // and every part goes through a signed truncating hardware conversion
+  // (an unsigned one would branch on the fraction's top bit), so the
+  // fixed-point image is |x| truncated to a multiple of 2^-64.
+  const double a = std::fabs(x);
+  const auto whole = static_cast<std::int64_t>(a);
+  const double upper = (a - static_cast<double>(whole)) * 0x1p32;
+  const auto high = static_cast<std::int64_t>(upper);
+  const auto low = static_cast<std::int64_t>(
+      (upper - static_cast<double>(high)) * 0x1p32);
+  const u128 image = u128(static_cast<std::uint64_t>(whole)) << 64 |
+                     static_cast<std::uint64_t>(high) << 32 |
+                     static_cast<std::uint64_t>(low);
+  add_to_sum(x < 0 ? -image : image);
+}
+
+void OnlineStats::add_to_sum(u128 v) {
+  const u128 sum = (u128{sum_hi_} << 64 | sum_lo_) + v;
+  sum_lo_ = static_cast<std::uint64_t>(sum);
+  sum_hi_ = static_cast<std::uint64_t>(sum >> 64);
 }
 
 void OnlineStats::merge(const OnlineStats& other) {
@@ -27,78 +57,33 @@ void OnlineStats::merge(const OnlineStats& other) {
     *this = other;
     return;
   }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
+  add_to_sum(u128{other.sum_hi_} << 64 | other.sum_lo_);
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
   n_ += other.n_;
 }
 
-void OnlineStats::reset() { *this = OnlineStats{}; }
+double OnlineStats::mean() const {
+  if (n_ == 0) return 0.0;
+  const auto sum = static_cast<__int128>(u128{sum_hi_} << 64 | sum_lo_);
+  return static_cast<double>(sum) * 0x1p-64 / static_cast<double>(n_);
+}
 
 void OnlineStats::save(ByteWriter& w) const {
   w.u64(static_cast<std::uint64_t>(n_));
-  w.f64(mean_);
-  w.f64(m2_);
+  w.u64(sum_lo_);
+  w.u64(sum_hi_);
   w.f64(min_);
   w.f64(max_);
 }
 
 void OnlineStats::load(ByteReader& r) {
   n_ = static_cast<std::size_t>(r.u64());
-  mean_ = r.f64();
-  m2_ = r.f64();
+  sum_lo_ = r.u64();
+  sum_hi_ = r.u64();
   min_ = r.f64();
   max_ = r.f64();
 }
-
-double OnlineStats::variance() const {
-  return n_ ? m2_ / static_cast<double>(n_) : 0.0;
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  assert(hi > lo && bins > 0);
-}
-
-void Histogram::add(double x) {
-  stats_.add(x);
-  auto idx = static_cast<long long>((x - lo_) / width_);
-  idx = std::clamp<long long>(idx, 0, static_cast<long long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-}
-
-double Histogram::quantile(double q) const {
-  if (stats_.count() == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  if (q >= 1.0) return stats_.max();
-  const auto target = static_cast<double>(stats_.count()) * q;
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      // Interpolate within the bin.
-      const double frac =
-          counts_[i] ? (target - cum) / static_cast<double>(counts_[i]) : 0.0;
-      return bin_lo(i) + frac * width_;
-    }
-    cum = next;
-  }
-  return stats_.max();
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + static_cast<double>(i) * width_;
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i) + width_; }
 
 LogHistogram::LogHistogram(double lo, double hi, double relative_error) {
   assert(lo > 0 && hi > lo && relative_error > 0);
@@ -127,7 +112,10 @@ void LogHistogram::add(double x) {
 }
 
 void LogHistogram::merge(const LogHistogram& other) {
-  assert(counts_.size() == other.counts_.size());
+  if (other.lo_ != lo_ || other.log_ratio_ != log_ratio_ ||
+      other.counts_.size() != counts_.size()) {
+    throw std::invalid_argument("LogHistogram::merge: geometries differ");
+  }
   stats_.merge(other.stats_);
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     counts_[i] += other.counts_[i];
@@ -150,17 +138,15 @@ void LogHistogram::save(ByteWriter& w) const {
 }
 
 void LogHistogram::load(ByteReader& r) {
-  lo_ = r.f64();
-  log_lo_ = r.f64();
-  inv_log_ratio_ = r.f64();
-  log_ratio_ = r.f64();
+  const double lo = r.f64();
+  const double log_lo = r.f64();
+  const double inv_log_ratio = r.f64();
+  const double log_ratio = r.f64();
   const std::uint32_t bins = r.u32();
-  // Size check before the allocation: a corrupt count must surface as the
-  // reader's range error, not as a multi-gigabyte assign.
-  if (r.remaining() < static_cast<std::size_t>(bins) * sizeof(std::uint64_t)) {
-    throw ByteRangeError("LogHistogram::load: truncated bins");
+  if (lo != lo_ || log_lo != log_lo_ || inv_log_ratio != inv_log_ratio_ ||
+      log_ratio != log_ratio_ || bins != counts_.size()) {
+    throw ByteRangeError("LogHistogram::load: saved geometry differs");
   }
-  counts_.assign(bins, 0);
   for (std::uint64_t& c : counts_) c = r.u64();
   stats_.load(r);
 }

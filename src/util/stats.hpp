@@ -1,14 +1,13 @@
 #pragma once
-// Online statistics used by the tracer and the experiment harness:
-// Welford mean/variance plus min/max in one pass, a fixed-bin histogram
-// with quantile queries for delay distributions, and two streaming
-// mergeable summaries for runs too large to trace in full — a
-// log-spaced-bin quantile sketch and a deterministic k-min record sample.
-// Both merge order-independently, so per-shard instances combined in any
-// order give the same result as one global instance: the property that
-// lets 10^6-host runs keep the byte-identical-across-shard-counts
-// contract on their summaries after the full canonical trace has become
-// infeasible.
+// Online statistics used by the tracer and the experiment harness: an
+// exact count / mean / extrema accumulator, and two streaming mergeable
+// summaries for runs too large to trace in full — a log-spaced-bin
+// quantile sketch and a deterministic k-min record sample.  All three
+// merge order-independently and exactly, so per-shard instances combined
+// in any order give the same result, bit for bit, as one global
+// instance: the property that lets every engine and shard count report
+// identical statistics, and lets 10^6-host runs keep that contract on
+// their summaries after the full canonical trace has become infeasible.
 
 #include <algorithm>
 #include <cstddef>
@@ -20,56 +19,41 @@ namespace emcast::util {
 class ByteReader;
 class ByteWriter;
 
-/// Single-pass mean / variance / extrema accumulator (Welford).
+/// Exact count / mean / extrema accumulator.  The sum is a two's-complement
+/// fixed-point integer at 2^-64 resolution in 128 bits, so add() and
+/// merge() are integer additions, which commute and associate: partials
+/// merged in any order give the mean of one sequential accumulation bit
+/// for bit.  Each sample is truncated toward zero to a multiple of 2^-64,
+/// which is exact for every double of magnitude at least 2^-12; the sum
+/// must stay below 2^63 in magnitude.
 class OnlineStats {
  public:
+  /// Throws std::invalid_argument on NaN, +-inf or |x| >= 2^63.
   void add(double x);
   void merge(const OnlineStats& other);
-  void reset();
+  void reset() { *this = OnlineStats{}; }
 
   /// Marshal the exact accumulator state (process-backend result blobs).
-  /// Doubles travel as bit patterns, so save -> load is identity.
+  /// save -> load is identity.
   void save(ByteWriter& w) const;
   void load(ByteReader& r);
 
   std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;  ///< population variance
-  double stddev() const;
+  /// The sum converted to double once and divided by the count once.
+  double mean() const;
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
 
  private:
+  void add_to_sum(unsigned __int128 v);
+
   std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
+  /// sum * 2^64 modulo 2^128, in two words so the accumulator stays
+  /// 8-byte aligned (it is embedded in every regulated host's tracer).
+  std::uint64_t sum_lo_ = 0;
+  std::uint64_t sum_hi_ = 0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Fixed-range linear-bin histogram.  Out-of-range samples clamp into the
-/// first/last bin so mass is never dropped (the max is still exact via the
-/// embedded OnlineStats).
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t total() const { return stats_.count(); }
-  const OnlineStats& stats() const { return stats_; }
-
-  /// Inverse-CDF estimate; q in [0,1].  q=1 returns the exact maximum.
-  double quantile(double q) const;
-
-  const std::vector<std::size_t>& bins() const { return counts_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::size_t> counts_;
-  OnlineStats stats_;
 };
 
 /// Log-spaced-bin histogram over (0, +inf): bin i covers
@@ -82,8 +66,10 @@ class Histogram {
 ///
 /// Merging adds bin counts elementwise, which commutes and associates:
 /// per-shard sketches merged in any order equal the single-kernel sketch
-/// over the same samples.  Memory is O(bins), independent of sample count
-/// — this is what replaces the full canonical trace at scale.
+/// over the same samples.  Only sketches of one geometry merge; merge()
+/// and load() reject any other.  Memory is O(bins), independent of
+/// sample count — this is what replaces the full canonical trace at
+/// scale.
 class LogHistogram {
  public:
   /// Default geometry: 1 microsecond .. ~100 seconds at 2% relative
@@ -92,11 +78,14 @@ class LogHistogram {
                         double relative_error = 0.02);
 
   void add(double x);
+  /// Throws std::invalid_argument when `other`'s geometry differs.
   void merge(const LogHistogram& other);
   void reset();
 
   /// Marshal the full sketch — geometry, bins and embedded stats — so a
   /// loaded sketch merges exactly with the live sketches it left behind.
+  /// load() throws ByteRangeError when the saved geometry differs from
+  /// this sketch's: the receiver's geometry is config, not state.
   void save(ByteWriter& w) const;
   void load(ByteReader& r);
 

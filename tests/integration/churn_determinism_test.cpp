@@ -94,6 +94,7 @@ TEST(ShardedSimChurn, CrashHeavyTracesMatchAcrossShards) {
     EXPECT_EQ(sharded.churn_losses, ref.churn_losses) << shards << " shards";
     EXPECT_EQ(sharded.worst_case_delay, ref.worst_case_delay)
         << shards << " shards";
+    EXPECT_EQ(sharded.mean_delay, ref.mean_delay) << shards << " shards";
     ASSERT_TRUE(sharded.trace == ref.trace)
         << shards << " shards: canonical delivery traces differ under churn";
   }
@@ -117,6 +118,8 @@ TEST(ShardedSimChurn, WorkerThreadCountNeverChangesTheTrace) {
       const auto sharded = run_sharded(cfg, 4, threads);
       ASSERT_TRUE(sharded.trace == ref.trace)
           << threads << " worker threads: traces differ under churn";
+      EXPECT_EQ(sharded.mean_delay, ref.mean_delay)
+          << threads << " worker threads";
     }
   }
 }
@@ -133,6 +136,7 @@ TEST(ShardedSimChurn, AdaptiveControlUnderChurnMatches) {
   EXPECT_EQ(sharded.mode_switches, ref.mode_switches);
   EXPECT_EQ(sharded.reconvergence_samples, ref.reconvergence_samples);
   EXPECT_EQ(sharded.reconvergence_max, ref.reconvergence_max);
+  EXPECT_EQ(sharded.reconvergence_mean, ref.reconvergence_mean);
   ASSERT_TRUE(sharded.trace == ref.trace)
       << "adaptive-under-churn traces differ";
 }

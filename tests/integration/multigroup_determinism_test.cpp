@@ -83,8 +83,11 @@ TEST(ShardedSimRegulated, ShardCountsProduceByteIdenticalTraces) {
       const auto sharded = run_sharded(cfg, shards);
       EXPECT_EQ(sharded.deliveries, ref.deliveries)
           << to_string(reg) << ", " << shards << " shards";
-      // max is order-independent: bit-equal, not just approximately equal.
+      // max and the fixed-point mean are order-independent: bit-equal,
+      // not just approximately equal.
       EXPECT_EQ(sharded.worst_case_delay, ref.worst_case_delay)
+          << to_string(reg) << ", " << shards << " shards";
+      EXPECT_EQ(sharded.mean_delay, ref.mean_delay)
           << to_string(reg) << ", " << shards << " shards";
       ASSERT_TRUE(sharded.trace == ref.trace)
           << to_string(reg) << ", " << shards
@@ -107,6 +110,8 @@ TEST(ShardedSimRegulated, WorkerThreadCountNeverChangesTheTrace) {
       ASSERT_TRUE(sharded.trace == ref.trace)
           << to_string(reg) << ", " << threads
           << " worker threads: traces differ";
+      EXPECT_EQ(sharded.mean_delay, ref.mean_delay)
+          << to_string(reg) << ", " << threads << " worker threads";
     }
   }
 }

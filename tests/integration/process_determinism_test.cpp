@@ -2,14 +2,9 @@
 // full regulated multigroup model run on EngineKind::Process must produce
 // canonical delivery traces BYTE-identical to Single and Sharded — for
 // every worker-process count, every regulation scheme, churn on and off,
-// and both transports — plus identical merged summaries (quantile sketch,
-// k-min sample, worst case, mode switches, churn counters) carried back
-// through the per-shard result blobs.
-//
-// The one documented relaxation: the aggregate MEAN is Welford-merged on
-// the rounds backends, so Single vs Process can differ by float rounding;
-// Sharded vs Process merge the identical per-shard partials and must
-// agree bit-for-bit.
+// and both transports — plus identical merged summaries (mean and worst
+// case, quantile sketch, k-min sample, mode switches, churn counters)
+// carried back through the per-shard result blobs.
 //
 // Suite names deliberately avoid the ShardedSim* concurrency filter:
 // these tests fork workers, and fork+TSan is not a supported combination.
@@ -76,8 +71,10 @@ void expect_conformant(const MultiGroupSimResult& proc,
   EXPECT_EQ(proc.deliveries, ref.deliveries) << label;
   EXPECT_EQ(proc.losses, ref.losses) << label;
   EXPECT_EQ(proc.mode_switches, ref.mode_switches) << label;
-  // max/min are order-independent: bit-equal, not approximately equal.
+  // max/min and the fixed-point mean are order-independent: bit-equal,
+  // not approximately equal.
   EXPECT_EQ(proc.worst_case_delay, ref.worst_case_delay) << label;
+  EXPECT_EQ(proc.mean_delay, ref.mean_delay) << label;
   // Sketch quantiles merge exactly (bin counts add), so these are
   // bit-equal across engines too.
   EXPECT_EQ(proc.delay_p50, ref.delay_p50) << label;
@@ -95,9 +92,6 @@ TEST(ProcessSimConformance, WorkerProcessCountNeverChangesResults) {
     const std::string label =
         std::to_string(processes) + " worker processes";
     expect_conformant(proc, ref, label);
-    // Sharded and Process merge identical per-shard partials: even the
-    // Welford-merged mean must agree bit-for-bit.
-    EXPECT_EQ(proc.mean_delay, sharded.mean_delay) << label;
     // Same shard blocks, same windows, same cross-shard posts: the round
     // protocol's telemetry must agree with the in-process backend.
     EXPECT_EQ(proc.rounds, sharded.rounds) << label;
@@ -173,6 +167,7 @@ TEST(ProcessSimConformance, ChurnDifferentialMatches) {
     EXPECT_EQ(proc.violations_steady, ref.violations_steady) << label;
     EXPECT_EQ(proc.reconvergence_samples, ref.reconvergence_samples) << label;
     EXPECT_EQ(proc.reconvergence_max, ref.reconvergence_max) << label;
+    EXPECT_EQ(proc.reconvergence_mean, ref.reconvergence_mean) << label;
     EXPECT_EQ(proc.lookahead_epochs, sharded.lookahead_epochs) << label;
   }
 }

@@ -46,8 +46,9 @@ TEST(ScaleDeterminism, UnregulatedShardCountsByteIdenticalOnHierarchical) {
     EXPECT_EQ(r.trace, reference.trace) << shards << " shards";
     EXPECT_EQ(r.sample, reference.sample) << shards << " shards";
     EXPECT_EQ(r.deliveries, reference.deliveries);
-    // Sketch quantiles merge order-independently: exact double equality,
-    // not approximate.
+    // Sketch quantiles and the fixed-point mean merge order-independently:
+    // exact double equality, not approximate.
+    EXPECT_EQ(r.mean_delay, reference.mean_delay) << shards << " shards";
     EXPECT_EQ(r.delay_p50, reference.delay_p50) << shards << " shards";
     EXPECT_EQ(r.delay_p99, reference.delay_p99) << shards << " shards";
   }
@@ -82,6 +83,8 @@ TEST(ScaleDeterminism, AllFourSchemesByteIdenticalOnHierarchical) {
           << to_string(scheme) << " @ " << shards << " shards";
       EXPECT_EQ(r.sample, reference.sample)
           << to_string(scheme) << " @ " << shards << " shards";
+      EXPECT_EQ(r.mean_delay, reference.mean_delay)
+          << to_string(scheme) << " @ " << shards << " shards";
       EXPECT_EQ(r.delay_p50, reference.delay_p50);
       EXPECT_EQ(r.delay_p99, reference.delay_p99);
     }
@@ -105,6 +108,7 @@ TEST(ScaleDeterminism, SampleIsTruncationOfCanonicalDeliverySet) {
   const MultiGroupSimResult big = run_multigroup(c);
   ASSERT_EQ(small.sample.size(), 16u);
   ASSERT_EQ(big.sample.size(), 64u);
+  EXPECT_EQ(small.mean_delay, big.mean_delay);
   for (const DeliveryRecord& rec : small.sample) {
     EXPECT_NE(std::find(big.sample.begin(), big.sample.end(), rec),
               big.sample.end());
@@ -136,6 +140,7 @@ TEST(ScaleDeterminism, TenThousandHostSmoke) {
   ASSERT_GT(ra.deliveries, 0u);
   EXPECT_EQ(ra.deliveries, rb.deliveries);
   EXPECT_EQ(ra.sample, rb.sample);
+  EXPECT_EQ(ra.mean_delay, rb.mean_delay);
   EXPECT_EQ(ra.delay_p50, rb.delay_p50);
   EXPECT_EQ(ra.delay_p99, rb.delay_p99);
 

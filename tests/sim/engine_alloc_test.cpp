@@ -578,9 +578,8 @@ TEST(EngineAllocation, RegulatedPipelineSteadyStateIsAllocationFree) {
   // bank's backlog into the buckets.  All times are dyadic and the bank
   // period is exactly 1 s (σ̂ = ρ̂(1−ρ̂), no σ margin), so the traffic
   // grid and the TDMA frame stay in phase and the run is periodic.
-  // After a warm-up of four cycles grows the rings, the event slabs and
-  // the tracer's per-flow entries, four more cycles must allocate
-  // nothing in each model.
+  // After a warm-up of four cycles grows the rings and the event slabs,
+  // four more cycles must allocate nothing in each model.
   struct Burst {
     Simulator* sim;
     core::AdaptiveHost* host;
