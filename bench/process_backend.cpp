@@ -10,7 +10,7 @@
 //       the ProcessSimConformance suite) — only the transport differs.
 //
 // The pair ratio is therefore exactly the cross-process tax: frame
-// encode/decode + ring/futex signalling per window round, amortised
+// encode/decode + ring polling per window round, amortised
 // over the model events inside the round.  Gated by bench_compare.py
 // --ab-only --ab-suffix Inproc so runner speed cancels; the engine is
 // kept warm across iterations on both sides (run_multigroup's slot
