@@ -34,7 +34,7 @@
 // (DSCT clusters by attachment domain and the partition keeps domains
 // whole), leaving the plan with few epochs; when a repair does create a
 // shorter cross-shard edge, the plan remaps the window width at a window
-// boundary (see ShardedSimulator::set_lookahead_plan).
+// boundary (see RoundsCore::set_lookahead_plan).
 //
 // Cost: every pass pays for what an action changes, not for the size of
 // the overlay.  A rejoin fills the joiner's delay to each attachment

@@ -53,51 +53,47 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
   }
 
   validate_shard_map(config_.shard_of, config_.shards);
-  std::size_t shard_count;
+  const auto fill = [this](RoundsConfig& rc) {
+    rc.shards = config_.shards;
+    rc.lookahead = config_.lookahead;
+    rc.mailbox_capacity = config_.mailbox_capacity;
+    rc.lookahead_matrix = config_.lookahead_matrix;
+  };
   if (config_.kind == EngineKind::Sharded) {
     ShardedConfig shc;
-    shc.shards = config_.shards;
+    fill(shc);
     shc.threads = config_.threads;
-    shc.lookahead = config_.lookahead;
-    shc.mailbox_capacity = config_.mailbox_capacity;
-    shc.pin_threads = config_.pin_threads;
-    shc.lookahead_matrix = config_.lookahead_matrix;
     sharded_ = std::make_unique<ShardedSimulator>(shc);
-    shard_count = sharded_->shard_count();
+    core_ = sharded_.get();
   } else {
     ProcessConfig pc;
-    pc.shards = config_.shards;
+    fill(pc);
     pc.processes = config_.processes;
-    pc.lookahead = config_.lookahead;
-    pc.mailbox_capacity = config_.mailbox_capacity;
     pc.transport = config_.transport;
     pc.timeout_seconds = config_.timeout_seconds;
-    pc.lookahead_matrix = config_.lookahead_matrix;
     process_ = std::make_unique<ProcessSimulator>(pc);
-    shard_count = process_->shard_count();
+    core_ = process_.get();
   }
 
-  // Both rounds backends expose the SAME Shard objects, so the context
-  // records — and with them every model-visible behaviour of SimContext —
-  // are identical; on the process backend the workers simply inherit
-  // them (and the handler below) through fork.
-  auto shard_at = [this](std::size_t i) -> Shard& {
-    return sharded_ != nullptr ? sharded_->shard(i) : process_->shard(i);
-  };
+  // Both rounds backends expose their shards through the core, so the
+  // context records — and with them every model-visible behaviour of
+  // SimContext — are identical; on the process backend the workers simply
+  // inherit them (and the handler below) through fork.
   const std::uint32_t* shard_of =
       config_.shard_of.empty() ? nullptr : config_.shard_of.data();
-  backends_.reserve(shard_count);
-  for (std::size_t i = 0; i < shard_count; ++i) {
+  backends_.reserve(core_->shard_count());
+  for (std::size_t i = 0; i < core_->shard_count(); ++i) {
+    Shard& shard = core_->shard(i);
     backends_.push_back(detail::ContextBackend{
-        &shard_at(i).sim(), &shard_at(i), static_cast<std::uint32_t>(i),
-        shard_of, config_.shard_of.size(), &deliver_});
+        &shard.sim(), &shard, static_cast<std::uint32_t>(i), shard_of,
+        config_.shard_of.size(), &deliver_});
   }
   // Cross-shard arrivals: the drain handler only schedules locally (the
   // ShardMsgHandler contract); the model's DeliverFn then fires at the
   // stamped arrival time exactly like a local deliver() would.  The drain
   // arrives sorted, so the local sequence numbers follow the
   // deterministic (deliver_at, source shard, seq) order.
-  ShardMsgHandler on_drain = [this](Shard& shard,
+  core_->set_message_handler([this](Shard& shard,
                                     std::span<const CrossShardMsg> msgs) {
     const detail::ContextBackend* b = &backends_[shard.index()];
     for (const CrossShardMsg& m : msgs) {
@@ -106,31 +102,20 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
                             (*b->on_deliver)(SimContext(b), host, p);
                           });
     }
-  };
-  if (sharded_ != nullptr) {
-    sharded_->set_message_handler(std::move(on_drain));
-  } else {
-    process_->set_message_handler(std::move(on_drain));
-  }
+  });
 }
 
 void Engine::reset() {
-  if (single_ != nullptr) {
-    single_->reset_discarding(0.0);
-  } else if (sharded_ != nullptr) {
-    sharded_->reset();
+  if (core_ != nullptr) {
+    core_->reset();
   } else {
-    process_->reset();
+    single_->reset_discarding(0.0);
   }
-}
-
-void Engine::reset(std::vector<std::uint32_t> shard_of, Time lookahead) {
-  reset(std::move(shard_of), lookahead, {});
 }
 
 void Engine::reset(std::vector<std::uint32_t> shard_of, Time lookahead,
                    std::vector<Time> lookahead_matrix) {
-  if (single_ != nullptr) {
+  if (core_ == nullptr) {
     throw std::invalid_argument(
         "Engine::reset: cannot rebind a host->shard map on a Single engine");
   }
@@ -140,14 +125,10 @@ void Engine::reset(std::vector<std::uint32_t> shard_of, Time lookahead,
   }
   // Rewind the backend BEFORE rebinding: a mid-run reset throws out of
   // the kernel guard with the old routing still intact.  The explicit
-  // scalar clears the backend's old matrix; the new one (when given)
-  // installs after, so a validation throw leaves the engine reset on the
-  // uniform scalar rather than on a half-committed matrix.
-  if (sharded_ != nullptr) {
-    sharded_->reset(lookahead);
-  } else {
-    process_->reset(lookahead);
-  }
+  // scalar clears the backend's old plan and matrix; the new matrix (when
+  // given) installs after, so a validation throw leaves the engine reset
+  // on the uniform scalar rather than on a half-committed matrix.
+  core_->reset(lookahead);
   config_.lookahead = lookahead;
   config_.lookahead_matrix.clear();
   config_.shard_of = std::move(shard_of);
@@ -159,11 +140,7 @@ void Engine::reset(std::vector<std::uint32_t> shard_of, Time lookahead,
     b.shard_of_size = config_.shard_of.size();
   }
   if (!lookahead_matrix.empty()) {
-    if (sharded_ != nullptr) {
-      sharded_->set_lookahead_matrix(lookahead_matrix);  // validates
-    } else {
-      process_->set_lookahead_matrix(lookahead_matrix);
-    }
+    core_->set_lookahead_matrix(lookahead_matrix);  // validates
     config_.lookahead_matrix = std::move(lookahead_matrix);
   }
 }
@@ -172,12 +149,6 @@ std::uint64_t Engine::run(Time until) {
   if (single_ != nullptr) return single_->run(until);
   if (sharded_ != nullptr) return sharded_->run(until);
   return process_->run(until);
-}
-
-std::uint64_t Engine::events_executed() const {
-  if (single_ != nullptr) return single_->events_executed();
-  if (sharded_ != nullptr) return sharded_->events_executed();
-  return process_->events_executed();
 }
 
 }  // namespace emcast::sim

@@ -5,7 +5,7 @@
 // talk to the kernel through a `SimContext` — a 16-byte non-owning handle
 // — instead of holding a concrete `Simulator&`.  The same component code
 // then runs unchanged on the single-threaded kernel and inside one shard
-// of a ShardedSimulator: scheduling always targets the *local* kernel (a
+// of a rounds backend: scheduling always targets the *local* kernel (a
 // shard's kernel IS a full Simulator, so schedule_in/at compile to
 // the exact same inlined push with zero extra dispatch), and the one
 // genuinely location-dependent operation — handing a packet to another
@@ -26,7 +26,7 @@
 // canonical traces across engines, shard counts and thread counts).
 //
 // `Engine` is the harness that owns a backend (one Simulator, or a
-// ShardedSimulator plus the host→shard map) and vends SimContexts.  A
+// rounds backend plus the host→shard map) and vends SimContexts.  A
 // bare `Simulator&` also converts implicitly to a SimContext — scheduling
 // works, deliver() does not (it needs an Engine with a handler) — so
 // single-kernel call sites (unit tests, calibration probes) need no
@@ -179,9 +179,6 @@ class SimContext {
     }
   }
 
-  /// Escape hatch to the concrete local kernel (telemetry, tests).
-  Simulator& kernel() const { return *sim_; }
-
  private:
   friend class Engine;
   explicit SimContext(const detail::ContextBackend* b)
@@ -206,16 +203,15 @@ const char* to_string(EngineKind kind);
 
 struct EngineConfig {
   EngineKind kind = EngineKind::Single;
-  /// -- Sharded only -------------------------------------------------------
+  /// -- Sharded and Process ------------------------------------------------
   std::size_t shards = 1;
   /// Worker threads; 0 = min(shards, hardware_concurrency).  Results are
-  /// identical for every value (ShardedSimulator's S-over-T contract).
+  /// identical for every value (the S-over-T contract of RoundsCore).
   std::size_t threads = 0;
   /// Conservative lookahead: strict lower bound on the simulated-time
   /// delay of any cross-shard deliver().  Must be > 0 when sharded.
   Time lookahead = 0;
   std::size_t mailbox_capacity = 4096;
-  bool pin_threads = false;
   /// host → owning shard.  Must cover every HostId the model passes to
   /// context_for_host / deliver (the multigroup experiments derive one
   /// entry per host from the overlay partition).  Copied into the
@@ -225,7 +221,7 @@ struct EngineConfig {
   std::vector<std::uint32_t> shard_of;
   /// Optional per-shard-pair lookahead matrix (shards² entries, flattened
   /// [src * shards + dst]); empty = the uniform scalar above.  See
-  /// ShardedSimulator::set_lookahead_matrix for the contract — the
+  /// RoundsCore::set_lookahead_matrix for the contract — the
   /// experiments derive it from the partition's per-pair minimum
   /// cross-edge delay to widen the conservative windows.
   std::vector<Time> lookahead_matrix;
@@ -241,8 +237,10 @@ struct EngineConfig {
   double timeout_seconds = 30.0;
 };
 
-/// Owns one backend — a single-threaded Simulator or a ShardedSimulator —
-/// plus the delivery routing; vends SimContexts to the model.
+/// Owns one backend — a single-threaded Simulator, a ShardedSimulator or a
+/// ProcessSimulator — plus the delivery routing; vends SimContexts to the
+/// model.  Both rounds backends derive from RoundsCore, through which the
+/// engine reaches their shards, lookahead state, reset and telemetry.
 ///
 /// An Engine is built once and may run MANY simulations: reset() rewinds
 /// the backend between runs with every arena kept warm (event slabs,
@@ -274,20 +272,17 @@ class Engine {
   /// inside an executing event.  Never allocates.
   void reset();
 
-  /// Sharded only: reset AND rebind the routing for the next run —
-  /// install a new host->shard map (validated like the constructor's) and
-  /// a new conservative lookahead (> 0, finite).  The shard count itself
-  /// cannot change.  Throws std::invalid_argument on a Single engine.
-  /// Any installed pair lookahead matrix is cleared (it was derived for
-  /// the old routing); the overload below re-derives one atomically.
-  void reset(std::vector<std::uint32_t> shard_of, Time lookahead);
-
-  /// Rebinding reset that also installs a per-shard-pair lookahead
-  /// matrix for the new routing (shards² entries or empty; see
-  /// ShardedSimulator::set_lookahead_matrix).  If matrix validation
-  /// throws, the engine is left reset on the uniform scalar.
+  /// Rounds backends only: reset AND rebind the routing for the next run
+  /// — install a new host->shard map (validated like the constructor's),
+  /// a new conservative lookahead (> 0, finite) and the pair lookahead
+  /// matrix for the new routing (shards² entries, or empty for the
+  /// uniform scalar; see RoundsCore::set_lookahead_matrix).  The shard
+  /// count itself cannot change.  Any installed plan and matrix are
+  /// cleared first (they were derived for the old routing); if matrix
+  /// validation throws, the engine is left reset on the uniform scalar.
+  /// Throws std::invalid_argument on a Single engine.
   void reset(std::vector<std::uint32_t> shard_of, Time lookahead,
-             std::vector<Time> lookahead_matrix);
+             std::vector<Time> lookahead_matrix = {});
 
   EngineKind kind() const { return config_.kind; }
   /// The (normalised) configuration the engine was built with; the
@@ -307,24 +302,14 @@ class Engine {
   /// SimContext::deliver call).
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
 
-  /// Sharded only (no-op on Single — one kernel has no windows): install
-  /// a piecewise-constant lookahead plan for runs whose cross-shard edge
-  /// set changes mid-run (see ShardedSimulator::set_lookahead_plan for
-  /// the contract and the window-boundary remap rule).  Cleared by the
-  /// rebinding reset overload; retained across plain reset().
+  /// Rounds backends only (no-op on Single — one kernel has no windows):
+  /// install a piecewise-constant lookahead plan for runs whose
+  /// cross-shard edge set changes mid-run (see
+  /// RoundsCore::set_lookahead_plan for the contract, the window-boundary
+  /// remap rule and why a pair matrix must not be installed with it).
+  /// Cleared by the rebinding reset; retained across plain reset().
   void set_lookahead_plan(std::vector<LookaheadEpoch> plan) {
-    if (sharded_ != nullptr) {
-      sharded_->set_lookahead_plan(std::move(plan));
-    } else if (process_ != nullptr) {
-      process_->set_lookahead_plan(std::move(plan));
-    }
-  }
-
-  /// Number of epochs in the installed plan (0 = uniform lookahead).
-  std::size_t lookahead_plan_epochs() const {
-    if (sharded_ != nullptr) return sharded_->lookahead_plan().size();
-    if (process_ != nullptr) return process_->lookahead_plan().size();
-    return 0;
+    if (core_ != nullptr) core_->set_lookahead_plan(std::move(plan));
   }
 
   /// Process only (no-op elsewhere — in-process backends read model state
@@ -362,21 +347,18 @@ class Engine {
   std::uint64_t run(Time until = kTimeInfinity);
 
   // -- telemetry (zeros where the single backend has no counterpart) ------
-  std::uint64_t events_executed() const;
+  std::uint64_t events_executed() const {
+    return core_ != nullptr ? core_->events_executed()
+                            : single_->events_executed();
+  }
   std::uint64_t rounds() const {
-    if (sharded_ != nullptr) return sharded_->rounds();
-    if (process_ != nullptr) return process_->rounds();
-    return 0;
+    return core_ != nullptr ? core_->rounds() : 0;
   }
   std::uint64_t messages_posted() const {
-    if (sharded_ != nullptr) return sharded_->messages_posted();
-    if (process_ != nullptr) return process_->messages_posted();
-    return 0;
+    return core_ != nullptr ? core_->messages_posted() : 0;
   }
   std::uint64_t messages_spilled() const {
-    if (sharded_ != nullptr) return sharded_->messages_spilled();
-    if (process_ != nullptr) return process_->messages_spilled();
-    return 0;
+    return core_ != nullptr ? core_->messages_spilled() : 0;
   }
 
  private:
@@ -384,6 +366,9 @@ class Engine {
   std::unique_ptr<Simulator> single_;
   std::unique_ptr<ShardedSimulator> sharded_;
   std::unique_ptr<ProcessSimulator> process_;
+  /// The rounds backend's shared core (sharded_ or process_); null on
+  /// the single backend.
+  RoundsCore* core_ = nullptr;
   DeliverFn deliver_;
   std::vector<detail::ContextBackend> backends_;
 };

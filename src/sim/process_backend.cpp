@@ -8,11 +8,9 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "sim/wire_codec.hpp"
 
@@ -72,51 +70,12 @@ void ProcessSimulator::reap_all(std::vector<WorkerProc>& workers,
 }
 
 ProcessSimulator::ProcessSimulator(const ProcessConfig& config)
-    : config_(config) {
-  if (!(config.lookahead > 0) || !std::isfinite(config.lookahead)) {
-    throw std::invalid_argument("ProcessSimulator: lookahead must be > 0");
-  }
+    : RoundsCore(config),
+      processes_(worker_count(config.processes)),
+      transport_(config.transport),
+      timeout_seconds_(config.timeout_seconds) {
   if (!(config.timeout_seconds > 0)) {
     throw std::invalid_argument("ProcessSimulator: timeout must be > 0");
-  }
-  const std::size_t n = std::max<std::size_t>(1, config.shards);
-  processes_ = [&] {
-    std::size_t p = config.processes != 0
-                        ? config.processes
-                        : std::max<std::size_t>(
-                              1, std::thread::hardware_concurrency());
-    return std::min(n, std::max<std::size_t>(1, p));
-  }();
-  policy_.init(n, config.lookahead);
-  // Shard + mailbox wiring is IDENTICAL to ShardedSimulator's: the model
-  // is built against the same Shard objects, and worker processes inherit
-  // them (and their mailbox graph) whole through fork's copy-on-write.
-  shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    shards_.emplace_back(std::unique_ptr<Shard>(new Shard()));
-    Shard& s = *shards_.back();
-    s.index_ = i;
-    s.lookahead_ = config.lookahead;
-    s.incoming_.resize(n);
-    s.drain_buf_.reserve(64);
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i == j) continue;
-      auto box = std::make_unique<ShardMailbox>();
-      box->init(static_cast<std::uint32_t>(i), config.mailbox_capacity);
-      shards_[j]->incoming_[i] = std::move(box);
-    }
-    shards_[j]->outgoing_.resize(n, nullptr);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      shards_[i]->outgoing_[j] = shards_[j]->incoming_[i].get();
-    }
-  }
-  if (!config.lookahead_matrix.empty()) {
-    set_lookahead_matrix(config.lookahead_matrix);
   }
 }
 
@@ -126,16 +85,10 @@ std::size_t ProcessSimulator::owner_of(std::size_t shard) const {
   // Inverse of the contiguous block map; processes_ is small, shard
   // lookups are per-handoff on the hub, so the closed form matters
   // little — but keep it O(1) anyway.
-  const std::size_t n = shards_.size();
-  std::size_t w = shard * processes_ / n;
-  while (shard_begin(w) > shard) --w;
-  while (shard_end(w) <= shard) ++w;
+  std::size_t w = shard * processes_ / shard_count();
+  while (block_begin(w, processes_) > shard) --w;
+  while (block_begin(w + 1, processes_) <= shard) ++w;
   return w;
-}
-
-void ProcessSimulator::set_message_handler(ShardMsgHandler handler) {
-  handler_ = std::move(handler);
-  for (auto& s : shards_) s->handler_ = &handler_;
 }
 
 void ProcessSimulator::set_result_hooks(ShardResultWriter writer,
@@ -144,66 +97,13 @@ void ProcessSimulator::set_result_hooks(ShardResultWriter writer,
   result_reader_ = std::move(reader);
 }
 
-void ProcessSimulator::reset(Time lookahead) {
-  Time next_lookahead = config_.lookahead;
-  if (!(lookahead <= 0.0)) {
-    if (!std::isfinite(lookahead)) {
-      throw std::invalid_argument(
-          "ProcessSimulator::reset: lookahead not finite");
-    }
-    next_lookahead = lookahead;
-  }
-  for (auto& s : shards_) s->reset(next_lookahead);
-  config_.lookahead = next_lookahead;
-  policy_.set_scalar(next_lookahead);
-  if (!(lookahead <= 0.0)) {
-    policy_.clear_plan_and_matrix();
-  } else if (!policy_.plan().empty() || !policy_.matrix().empty()) {
-    apply_shard_floor();
-  }
-  rounds_ = 0;
-  events_agg_ = 0;
-  posted_agg_ = 0;
-  spilled_agg_ = 0;
-}
-
-void ProcessSimulator::set_lookahead_plan(std::vector<LookaheadEpoch> plan) {
-  policy_.set_plan(std::move(plan));
-  apply_shard_floor();
-}
-
-void ProcessSimulator::set_lookahead_matrix(std::vector<Time> matrix) {
-  policy_.set_matrix(std::move(matrix));
-  apply_shard_floor();
-}
-
-void ProcessSimulator::apply_shard_floor() {
-  // Same floors as ShardedSimulator::apply_shard_floor — the post asserts
-  // must reject exactly what the (shared) window scheduler relies on.
-  const Time floor = policy_.floor();
-  const std::size_t n = shards_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    Shard& s = *shards_[i];
-    s.lookahead_ = floor;
-    if (policy_.matrix().empty()) {
-      s.post_floor_.clear();
-      continue;
-    }
-    s.post_floor_.assign(n, floor);
-    for (std::size_t dst = 0; dst < n; ++dst) {
-      if (dst == i) continue;
-      s.post_floor_[dst] = policy_.pair_floor(i, dst);
-    }
-  }
-}
-
 std::uint64_t ProcessSimulator::run(Time until) {
   // Channels first, THEN fork: the shm mappings must predate the children
   // to be shared, and socketpairs must exist for both sides to inherit.
   std::vector<ChannelPair> pairs;
   pairs.reserve(processes_);
   for (std::size_t w = 0; w < processes_; ++w) {
-    pairs.push_back(config_.transport == TransportKind::Shm
+    pairs.push_back(transport_ == TransportKind::Shm
                         ? make_shm_pair()
                         : make_socket_pair());
   }
@@ -213,7 +113,7 @@ std::uint64_t ProcessSimulator::run(Time until) {
     const pid_t pid = ::fork();
     if (pid < 0) {
       const std::string err = std::strerror(errno);
-      reap_all(workers, /*kill_first=*/true, config_.timeout_seconds);
+      reap_all(workers, /*kill_first=*/true, timeout_seconds_);
       throw std::runtime_error("process backend: fork failed: " + err);
     }
     if (pid == 0) {
@@ -229,8 +129,8 @@ std::uint64_t ProcessSimulator::run(Time until) {
       worker_main(w, *mine, until);  // _exits, never returns
     }
     workers[w].pid = pid;
-    workers[w].begin = shard_begin(w);
-    workers[w].end = shard_end(w);
+    workers[w].begin = block_begin(w, processes_);
+    workers[w].end = block_begin(w + 1, processes_);
   }
   for (std::size_t w = 0; w < processes_; ++w) {
     workers[w].ch = std::move(pairs[w].hub_end);
@@ -238,7 +138,7 @@ std::uint64_t ProcessSimulator::run(Time until) {
   pairs.clear();  // parent drops the worker ends
   for (std::size_t w = 0; w < processes_; ++w) {
     WorkerProc* wp = &workers[w];
-    wp->ch->set_timeout(config_.timeout_seconds);
+    wp->ch->set_timeout(timeout_seconds_);
     wp->ch->set_peer_probe([wp, w]() -> std::string {
       if (wp->reaped) return wp->death;
       int status = 0;
@@ -250,27 +150,25 @@ std::uint64_t ProcessSimulator::run(Time until) {
   }
 
   try {
-    const std::uint64_t events = hub_main(workers, until);
-    events_agg_ += events;
-    return events;
+    return hub_main(workers, until);
   } catch (const TransportError& e) {
     // A dead or wedged worker: the run is unrecoverable, but the FAILURE
     // must be clean — kill the survivors, reap everything, surface the
     // channel's diagnostic.  No hang, no zombie, no leaked fd.
-    reap_all(workers, /*kill_first=*/true, config_.timeout_seconds);
+    reap_all(workers, /*kill_first=*/true, timeout_seconds_);
     throw std::runtime_error(std::string("process backend: ") + e.what());
   } catch (const wire::WireError& e) {
-    reap_all(workers, /*kill_first=*/true, config_.timeout_seconds);
+    reap_all(workers, /*kill_first=*/true, timeout_seconds_);
     throw std::runtime_error(std::string("process backend: ") + e.what());
   } catch (...) {
-    reap_all(workers, /*kill_first=*/true, config_.timeout_seconds);
+    reap_all(workers, /*kill_first=*/true, timeout_seconds_);
     throw;
   }
 }
 
 std::uint64_t ProcessSimulator::hub_main(std::vector<WorkerProc>& workers,
                                          Time until) {
-  const std::size_t n = shards_.size();
+  const std::size_t n = shard_count();
   std::vector<std::uint8_t> buf;
   std::vector<std::uint8_t> frame;
   std::string model_error;
@@ -335,7 +233,7 @@ std::uint64_t ProcessSimulator::hub_main(std::vector<WorkerProc>& workers,
     win.round = round;
     if (kmin == kAbortTimeKey) {
       win.verdict = wire::WindowVerdict::kAbort;
-    } else if (kmin == kInfTimeKey || key_time(kmin) > until) {
+    } else if (finished(kmin, until)) {
       win.verdict = wire::WindowVerdict::kDone;
     } else {
       win.verdict = wire::WindowVerdict::kRun;
@@ -349,7 +247,7 @@ std::uint64_t ProcessSimulator::hub_main(std::vector<WorkerProc>& workers,
       // Workers _exit on the abort verdict; reap, then surface the model
       // error.  The original exception TYPE died with the worker — the
       // message is what crosses the boundary (see the class comment).
-      reap_all(workers, /*kill_first=*/false, config_.timeout_seconds);
+      reap_all(workers, /*kill_first=*/false, timeout_seconds_);
       throw std::runtime_error(
           "process backend: " +
           (model_error.empty() ? std::string("worker voted abort")
@@ -403,7 +301,7 @@ std::uint64_t ProcessSimulator::hub_main(std::vector<WorkerProc>& workers,
   // shard order afterwards so the hub-side merge is deterministic.
   std::vector<std::vector<std::uint8_t>> blobs(n);
   std::vector<bool> have_blob(n, false);
-  std::uint64_t events = 0;
+  const std::uint64_t events_before = counts_.events;
   for (std::size_t w = 0; w < workers.size(); ++w) {
     for (;;) {
       const wire::FrameType t = recv_typed(workers[w]);
@@ -419,34 +317,33 @@ std::uint64_t ProcessSimulator::hub_main(std::vector<WorkerProc>& workers,
       if (t == wire::FrameType::kBye) {
         const wire::ByeFrame bye =
             wire::decode_bye(frame.data(), frame.size());
-        events += bye.events_executed;
-        posted_agg_ += bye.messages_posted;
-        spilled_agg_ += bye.messages_spilled;
+        counts_.events += bye.events_executed;
+        counts_.posted += bye.messages_posted;
+        counts_.spilled += bye.messages_spilled;
         break;
       }
       throw wire::WireError("wire: expected result or bye");
     }
   }
-  reap_all(workers, /*kill_first=*/false, config_.timeout_seconds);
+  reap_all(workers, /*kill_first=*/false, timeout_seconds_);
   if (result_reader_) {
     for (std::size_t s = 0; s < n; ++s) {
       if (have_blob[s]) result_reader_(s, blobs[s].data(), blobs[s].size());
     }
   }
-  return events;
+  return counts_.events - events_before;
 }
 
 void ProcessSimulator::worker_main(std::size_t w, Channel& ch, Time until) {
   const pid_t hub_pid = ::getppid();
-  ch.set_timeout(config_.timeout_seconds);
+  ch.set_timeout(timeout_seconds_);
   ch.set_peer_probe([hub_pid]() -> std::string {
     return ::getppid() == hub_pid ? std::string() : "hub process died";
   });
 
-  const std::size_t n = shards_.size();
-  const std::size_t begin = shard_begin(w);
-  const std::size_t end = shard_end(w);
-  const Time horizon_bound = std::nextafter(until, kTimeInfinity);
+  const std::size_t n = shard_count();
+  const std::size_t begin = block_begin(w, processes_);
+  const std::size_t end = block_begin(w + 1, processes_);
 
   std::vector<std::uint8_t> buf;
   std::vector<std::uint8_t> frame;
@@ -471,13 +368,12 @@ void ProcessSimulator::worker_main(std::size_t w, Channel& ch, Time until) {
     std::vector<CrossShardMsg> egress;
 
     for (std::uint64_t round = 0;; ++round) {
-      // ---- drain phase (exactly worker_rounds': merge + publish keys;
-      // a failed worker keeps the protocol moving with abort votes).
+      // ---- drain phase (a failed worker keeps the protocol moving with
+      // abort votes).
       if (!failed) {
         try {
           for (std::size_t s = begin; s < end; ++s) {
-            shards_[s]->drain_and_schedule();
-            kf.keys[s - begin] = time_key(shards_[s]->sim_.next_event_time());
+            kf.keys[s - begin] = drain(s);
           }
         } catch (const std::exception& e) {
           send_error(e.what());
@@ -502,30 +398,15 @@ void ProcessSimulator::worker_main(std::size_t w, Channel& ch, Time until) {
         throw wire::WireError("wire: window key image size mismatch");
       }
 
-      // ---- process phase: identical window math to worker_rounds, with
-      // the broadcast key image standing in for the shared atomics.
+      // ---- window phase: the broadcast key image stands in for the
+      // threaded backend's shared one.
+      std::copy(win.keys.begin(), win.keys.end(), key_image().begin());
       const std::uint64_t kmin =
           *std::min_element(win.keys.begin(), win.keys.end());
-      const Time tmin = key_time(kmin);
-      const Time w_global = policy_.window_end(tmin);
       if (!failed) {
         try {
           for (std::size_t s = begin; s < end; ++s) {
-            Time wend;
-            if (policy_.matrix().empty()) {
-              wend = w_global;
-            } else {
-              wend = kTimeInfinity;
-              for (std::size_t j = 0; j < n; ++j) {
-                const std::uint64_t kj = win.keys[j];
-                if (kj == kInfTimeKey) continue;
-                wend =
-                    std::min(wend, policy_.pair_window_end(key_time(kj), j, s));
-              }
-            }
-            if (!(wend > tmin)) wend = std::nextafter(tmin, kTimeInfinity);
-            wend = std::min(wend, horizon_bound);
-            shards_[s]->sim_.run_before(wend);
+            run_window(s, key_time(kmin), until);
           }
         } catch (const std::exception& e) {
           send_error(e.what());
@@ -543,7 +424,7 @@ void ProcessSimulator::worker_main(std::size_t w, Channel& ch, Time until) {
         for (std::size_t s = begin; s < end; ++s) {
           if (s == d) continue;
           egress.clear();
-          shards_[d]->incoming_[s]->drain_into(egress);
+          mailbox(s, d).drain_into(egress);
           if (egress.empty()) continue;
           wire::HandoffFrame hf;
           hf.dest_shard = static_cast<std::uint32_t>(d);
@@ -571,19 +452,18 @@ void ProcessSimulator::worker_main(std::size_t w, Channel& ch, Time until) {
         if (hf.dest_shard < begin || hf.dest_shard >= end) {
           throw wire::WireError("wire: handoff routed to the wrong worker");
         }
-        Shard& dest = *shards_[hf.dest_shard];
         for (const CrossShardMsg& m : hf.msgs) {
           if (m.source_shard >= n || m.source_shard == hf.dest_shard) {
             throw wire::WireError("wire: handoff from an impossible source");
           }
-          dest.incoming_[m.source_shard]->inject(m);
+          mailbox(m.source_shard, hf.dest_shard).inject(m);
         }
       }
     }
 
     // ---- epilogue: advance drained shards to the horizon (no events can
     // execute — cannot throw), marshal results, report telemetry, leave.
-    for (std::size_t s = begin; s < end; ++s) shards_[s]->sim_.run(until);
+    for (std::size_t s = begin; s < end; ++s) finish(s, until);
     if (result_writer_ && !failed) {
       std::vector<std::uint8_t> blob;
       for (std::size_t s = begin; s < end; ++s) {
@@ -598,22 +478,9 @@ void ProcessSimulator::worker_main(std::size_t w, Channel& ch, Time until) {
         blob = std::move(rf.blob);
       }
     }
-    std::uint64_t events = 0, posted = 0, spilled = 0;
-    for (std::size_t s = begin; s < end; ++s) {
-      events += shards_[s]->events_executed();
-    }
-    // Posted/spilled counters live in the PRODUCER's copy of each
-    // mailbox: sum every pair whose source this worker owns (producer
-    // ownership partitions the pairs, so worker sums never overlap).
-    for (std::size_t d = 0; d < n; ++d) {
-      for (std::size_t s = begin; s < end; ++s) {
-        if (s == d) continue;
-        posted += shards_[d]->incoming_[s]->posted();
-        spilled += shards_[d]->incoming_[s]->spilled();
-      }
-    }
+    const RoundsCounts c = block_counts(begin, end);
     buf.clear();
-    wire::encode(buf, wire::ByeFrame{events, posted, spilled});
+    wire::encode(buf, wire::ByeFrame{c.events, c.posted, c.spilled});
     ch.send_frame(buf);
     _exit(0);
   } catch (...) {

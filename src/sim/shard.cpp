@@ -4,25 +4,21 @@
 
 namespace emcast::sim {
 
-void Shard::reset(Time lookahead) {
+void Shard::reset() {
   sim_.reset_discarding(0.0);
-  lookahead_ = lookahead;
   for (auto& mailbox : incoming_) {
     if (mailbox) mailbox->reset();
   }
   drain_buf_.clear();  // capacity retained
-  post_floor_.clear();  // re-derived by apply_shard_floor when a matrix
-                        // or plan survives the reset (capacity retained)
-  messages_received_ = 0;
   in_drain_ = false;
 }
 
-std::size_t Shard::drain_and_schedule() {
+void Shard::drain_and_schedule() {
   drain_buf_.clear();
   for (auto& mailbox : incoming_) {
     if (mailbox) mailbox->drain_into(drain_buf_);
   }
-  if (drain_buf_.empty()) return 0;
+  if (drain_buf_.empty()) return;
   // Deterministic merge: thread timing decided nothing about this order,
   // so the local sequence numbers the handler's schedule_at calls assign
   // — and with them the (time, seq) fire order — replay identically on
@@ -37,8 +33,6 @@ std::size_t Shard::drain_and_schedule() {
     throw;
   }
   in_drain_ = false;
-  messages_received_ += drain_buf_.size();
-  return drain_buf_.size();
 }
 
 }  // namespace emcast::sim

@@ -24,7 +24,7 @@
 
 namespace emcast::sim {
 
-class ShardedSimulator;
+class RoundsCore;
 class Shard;
 
 /// Invoked once per drain with the round's cross-shard messages, already
@@ -82,7 +82,6 @@ class Shard {
   }
 
   std::uint64_t events_executed() const { return sim_.events_executed(); }
-  std::uint64_t messages_received() const { return messages_received_; }
 
   /// Arena introspection for the zero-allocation steady-state proofs.
   std::size_t drain_buffer_capacity() const { return drain_buf_.capacity(); }
@@ -91,23 +90,21 @@ class Shard {
   }
 
  private:
-  friend class ShardedSimulator;
-  friend class ProcessSimulator;
+  friend class RoundsCore;
   Shard() = default;
 
-  /// Warm rewind for a new run (ShardedSimulator::reset): discard the
-  /// kernel's pending events with its arenas kept warm, rewind the
-  /// incoming mailboxes (rings, spill vectors and sequence counters —
-  /// producers are quiescent between runs by the round protocol), keep
-  /// the drain-buffer arena, restart telemetry, and take the (possibly
-  /// re-derived) lookahead for the next run.  Never allocates.
-  void reset(Time lookahead);
+  /// Warm rewind for a new run (RoundsCore::reset, which then re-derives
+  /// the lookahead floors): discard the kernel's pending events with its
+  /// arenas kept warm, rewind the incoming mailboxes (rings, spill vectors
+  /// and sequence counters — producers are quiescent between runs by the
+  /// round protocol) and keep the drain-buffer arena.  Never allocates.
+  void reset();
 
   /// Between-windows step (destination worker thread): drain every
   /// incoming mailbox, sort the round's messages into the deterministic
   /// (deliver_at, source shard, seq) order, and hand them to the model's
-  /// message handler for local scheduling.  Returns the message count.
-  std::size_t drain_and_schedule();
+  /// message handler for local scheduling.
+  void drain_and_schedule();
 
   Simulator sim_;
   std::size_t index_ = 0;
@@ -120,12 +117,11 @@ class Shard {
   std::vector<std::unique_ptr<ShardMailbox>> incoming_;
   std::vector<CrossShardMsg> drain_buf_;  ///< per-round merge staging
   /// Per-destination lookahead floors when a pair matrix is installed
-  /// (min of the pair entry and every plan epoch's scalar); empty means
-  /// the scalar lookahead_ bounds every pair.  Debug-assert data only —
+  /// (this shard's row of the closed matrix); empty means the scalar
+  /// lookahead_ bounds every pair.  Debug-assert data only —
   /// the window protocol's safety derives from the scheduler's bound.
   std::vector<Time> post_floor_;
   const ShardMsgHandler* handler_ = nullptr;
-  std::uint64_t messages_received_ = 0;
   /// True while drain_and_schedule runs its handlers (assert-only guard
   /// for the no-post-from-handler contract above).
   bool in_drain_ = false;

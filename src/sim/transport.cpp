@@ -1,10 +1,6 @@
 #include "sim/transport.hpp"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sched.h>
 #include <sys/mman.h>
 #include <sys/socket.h>
@@ -332,104 +328,6 @@ ChannelPair make_socket_pair() {
   pair.hub_end = std::make_unique<SocketChannel>(fds[0]);
   pair.worker_end = std::make_unique<SocketChannel>(fds[1]);
   return pair;
-}
-
-ListenResult socket_listen_accept(std::uint16_t port, double timeout_seconds) {
-  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (lfd < 0) throw TransportError(errno_string("transport: socket"));
-  const int one = 1;
-  ::setsockopt(lfd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = htons(port);
-  if (::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(lfd, 1) != 0) {
-    const std::string err = errno_string("transport: bind/listen");
-    ::close(lfd);
-    throw TransportError(err);
-  }
-  socklen_t len = sizeof addr;
-  ::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len);
-
-  pollfd pfd{lfd, POLLIN, 0};
-  const double start = monotonic_seconds();
-  for (;;) {
-    const double left = timeout_seconds - (monotonic_seconds() - start);
-    if (left <= 0.0) {
-      ::close(lfd);
-      throw TransportError("transport: accept timeout after " +
-                           std::to_string(timeout_seconds) + " s");
-    }
-    const int ms = left > 100.0 ? 100000 : static_cast<int>(left * 1000.0) + 1;
-    const int ready = ::poll(&pfd, 1, ms);
-    if (ready < 0 && errno != EINTR) {
-      const std::string err = errno_string("transport: poll(accept)");
-      ::close(lfd);
-      throw TransportError(err);
-    }
-    if (ready > 0) break;
-  }
-  const int fd = ::accept(lfd, nullptr, nullptr);
-  ::close(lfd);
-  if (fd < 0) throw TransportError(errno_string("transport: accept"));
-
-  ListenResult result;
-  result.channel = std::make_unique<SocketChannel>(fd);
-  result.bound_port = ntohs(addr.sin_port);
-  return result;
-}
-
-std::unique_ptr<Channel> socket_connect(const std::string& host,
-                                        std::uint16_t port,
-                                        double timeout_seconds) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw TransportError(errno_string("transport: socket"));
-  set_nonblocking(fd);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    throw TransportError("transport: bad address \"" + host + "\"");
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 &&
-      errno != EINPROGRESS) {
-    const std::string err = errno_string("transport: connect");
-    ::close(fd);
-    throw TransportError(err);
-  }
-
-  pollfd pfd{fd, POLLOUT, 0};
-  const double start = monotonic_seconds();
-  for (;;) {
-    const double left = timeout_seconds - (monotonic_seconds() - start);
-    if (left <= 0.0) {
-      ::close(fd);
-      throw TransportError("transport: connect timeout after " +
-                           std::to_string(timeout_seconds) + " s");
-    }
-    const int ms = left > 100.0 ? 100000 : static_cast<int>(left * 1000.0) + 1;
-    const int ready = ::poll(&pfd, 1, ms);
-    if (ready < 0 && errno != EINTR) {
-      const std::string err = errno_string("transport: poll(connect)");
-      ::close(fd);
-      throw TransportError(err);
-    }
-    if (ready > 0) break;
-  }
-  int soerr = 0;
-  socklen_t slen = sizeof soerr;
-  ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &soerr, &slen);
-  if (soerr != 0) {
-    ::close(fd);
-    throw TransportError("transport: connect to " + host + ":" +
-                         std::to_string(port) +
-                         " failed: " + std::strerror(soerr));
-  }
-  return std::make_unique<SocketChannel>(fd);
 }
 
 }  // namespace emcast::sim

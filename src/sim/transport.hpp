@@ -8,10 +8,9 @@
 //                    fork(), so both processes address the same pages.
 //                    The local (same-host) fast path: no syscalls per
 //                    frame, spin-plus-yield waits.
-//   sockets        — length-prefixed frames over a connected stream
-//                    socket: an AF_UNIX socketpair for fork-local use,
-//                    or TCP listen/accept + connect with deadlines for
-//                    the cross-host path.
+//   sockets        — length-prefixed frames over an AF_UNIX socketpair
+//                    created before fork(), so it too links a hub and its
+//                    workers on one host.
 //
 // Framing is identical on both: [u32 length][payload bytes], payload
 // being one complete wire-codec frame (sim/wire_codec.hpp).  Frames may
@@ -47,7 +46,7 @@ namespace emcast::sim {
 /// Transport selection for the process backend (EngineConfig::transport).
 enum class TransportKind {
   Shm,     ///< shared-memory rings (same host; the default)
-  Socket,  ///< stream-socket frames (socketpair locally, TCP across hosts)
+  Socket,  ///< stream-socket frames over an AF_UNIX socketpair (same host)
 };
 
 const char* to_string(TransportKind kind);
@@ -118,22 +117,7 @@ struct ChannelPair {
 /// `ring_bytes` is the per-direction ring capacity.
 ChannelPair make_shm_pair(std::size_t ring_bytes = 1u << 18);
 
-/// AF_UNIX socketpair: the fork-local socket flavour.
+/// AF_UNIX socketpair: like the shm pair, create it before fork().
 ChannelPair make_socket_pair();
-
-/// TCP cross-host path: bind/listen on `port` (0 = ephemeral; see
-/// bound_port on the result) and accept one peer within `timeout`
-/// seconds; TransportError on timeout.
-struct ListenResult {
-  std::unique_ptr<Channel> channel;
-  std::uint16_t bound_port = 0;
-};
-ListenResult socket_listen_accept(std::uint16_t port, double timeout_seconds);
-
-/// Connect to host:port within `timeout` seconds; TransportError on
-/// refusal or timeout.
-std::unique_ptr<Channel> socket_connect(const std::string& host,
-                                        std::uint16_t port,
-                                        double timeout_seconds);
 
 }  // namespace emcast::sim

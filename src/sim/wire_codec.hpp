@@ -20,7 +20,9 @@
 // Versioning: kWireVersion stamps every frame.  A peer built from a
 // different commit with a different layout fails the version check on the
 // FIRST frame (the hello handshake), with a diagnostic naming both sides'
-// versions — the cross-host failure mode this codec exists to catch.
+// versions.  Forked workers share the hub's binary, so today this only
+// guards against corrupt frames; it matters once peers are launched
+// separately.
 //
 // Determinism: doubles travel as IEEE-754 bit patterns (util/bytes.hpp),
 // so a CrossShardMsg decodes to the identical bits that were encoded and
@@ -84,8 +86,8 @@ struct WindowFrame {
   WindowVerdict verdict = WindowVerdict::kRun;
   /// Full per-shard key image (shard_count entries) when verdict == kRun;
   /// empty otherwise.  Every worker derives its shards' windows from this
-  /// vector through the shared WindowPolicy — identical math, identical
-  /// windows.
+  /// vector through RoundsCore::run_window, the code the threaded backend
+  /// runs too.
   std::vector<std::uint64_t> keys;
 };
 

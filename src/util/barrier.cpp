@@ -2,11 +2,6 @@
 
 #include <thread>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #endif
@@ -45,18 +40,6 @@ void SpinBarrier::arrive_and_wait() {
       std::this_thread::yield();
     }
   }
-}
-
-bool pin_thread_to_core(std::size_t core) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(core % CPU_SETSIZE, &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)core;
-  return false;
-#endif
 }
 
 }  // namespace emcast::util

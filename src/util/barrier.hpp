@@ -1,7 +1,6 @@
 #pragma once
-// Thread-coordination primitives for the sharded simulator: a
-// sense-reversing spin barrier tuned for short (sub-window) rendezvous,
-// and a best-effort CPU-affinity helper.
+// Thread coordination for the sharded simulator: a sense-reversing spin
+// barrier tuned for short (sub-window) rendezvous.
 //
 // The barrier spins briefly — window barriers fire thousands of times per
 // simulated second, so parking on a futex would dominate — then falls
@@ -34,10 +33,5 @@ class SpinBarrier {
   std::atomic<std::size_t> arrived_{0};
   std::atomic<std::uint64_t> generation_{0};
 };
-
-/// Pin the calling thread to `core` (Linux; no-op elsewhere).  Returns
-/// true on success.  Affinity is strictly an optimisation — the sharded
-/// simulator's results do not depend on placement.
-bool pin_thread_to_core(std::size_t core);
 
 }  // namespace emcast::util

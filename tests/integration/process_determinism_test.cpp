@@ -155,6 +155,7 @@ TEST(ProcessSimConformance, ChurnDifferentialMatches) {
   const auto ref = run_reference(cfg);
   ASSERT_GT(ref.churn_events, 0u);
   const auto sharded = run_sharded(cfg, 4);
+  ASSERT_GT(sharded.lookahead_epochs, 0u) << "no plan: windows stay uniform";
   for (const std::size_t processes : {1u, 2u}) {
     const auto proc = run_process(cfg, 4, processes);
     const std::string label =
@@ -169,6 +170,10 @@ TEST(ProcessSimConformance, ChurnDifferentialMatches) {
     EXPECT_EQ(proc.reconvergence_max, ref.reconvergence_max) << label;
     EXPECT_EQ(proc.reconvergence_mean, ref.reconvergence_mean) << label;
     EXPECT_EQ(proc.lookahead_epochs, sharded.lookahead_epochs) << label;
+    // The plan path's windows: the same rounds and cross-shard posts as
+    // the threaded backend.
+    EXPECT_EQ(proc.rounds, sharded.rounds) << label;
+    EXPECT_EQ(proc.messages, sharded.messages) << label;
   }
 }
 

@@ -1,8 +1,9 @@
 // Sharded simulator suite: direct ShardedSimulator mechanics (window
-// progression, message ordering, lookahead plans and matrices, error
-// propagation), plus the two engine-level checks of the unregulated
-// multigroup model (RegulationScheme::None) that the model differential
-// suite (tests/integration/multigroup_determinism_test.cpp) does not
+// progression, message ordering, lookahead plans and matrices and the
+// rule that they are never installed together, error propagation), plus
+// the two engine-level checks of the unregulated multigroup model
+// (RegulationScheme::None) that the model differential suite
+// (tests/integration/multigroup_determinism_test.cpp) does not
 // make: a repeated sharded run is identical, rounds and messages
 // included, and a mailbox so small that nearly every staged message
 // spills still yields the single-kernel trace.
@@ -318,6 +319,31 @@ TEST(ShardedSimulator, ExplicitLookaheadResetClearsTheMatrix) {
   EXPECT_TRUE(sharded.lookahead_matrix().empty());
   EXPECT_DOUBLE_EQ(sharded.shard(0).post_floor(1), 0.3);
   EXPECT_DOUBLE_EQ(sharded.shard(1).post_floor(0), 0.3);
+}
+
+TEST(ShardedSimulator, LookaheadPlanAndMatrixAreNeverInstalledTogether) {
+  // A plan and a pair matrix never compose: installing either one while
+  // the other is in force is rejected, in both orders, and leaves the
+  // installed one untouched.  Clearing either is always allowed.
+  sim::ShardedConfig cfg;
+  cfg.shards = 2;
+  cfg.lookahead = 0.25;
+  sim::ShardedSimulator sharded(cfg);
+  const std::vector<Time> matrix = {kTimeInfinity, 0.5, 1.0, kTimeInfinity};
+  const std::vector<sim::LookaheadEpoch> plan = {{0.0, 0.5}, {2.0, 0.25}};
+
+  sharded.set_lookahead_matrix(matrix);
+  EXPECT_THROW(sharded.set_lookahead_plan(plan), std::logic_error);
+  EXPECT_TRUE(sharded.lookahead_plan().empty());
+  EXPECT_DOUBLE_EQ(sharded.shard(0).post_floor(1), 0.5);
+  EXPECT_NO_THROW(sharded.set_lookahead_plan({}));
+
+  sharded.set_lookahead_matrix({});
+  sharded.set_lookahead_plan(plan);
+  EXPECT_THROW(sharded.set_lookahead_matrix(matrix), std::logic_error);
+  EXPECT_TRUE(sharded.lookahead_matrix().empty());
+  EXPECT_EQ(sharded.lookahead_plan().size(), 2u);
+  EXPECT_NO_THROW(sharded.set_lookahead_matrix({}));
 }
 
 TEST(ShardedSimAsymmetric, PairMatrixWidensWindowsWithoutChangingTheTrace) {
