@@ -2,16 +2,16 @@
 // (PR 10).
 //
 //   BM_ProcessWindowRound/<shards>        EngineKind::Process — forked
-//       workers, shm-ring transport, per-round Keys/Window/Handoff
-//       frames through the wire codec, result blobs at drain;
+//       workers, barrier and key image in shared memory, handoff frames
+//       through shared-memory rings each round, result blobs at the end;
 //   BM_ProcessWindowRoundInproc/<shards>  the identical model on
 //       EngineKind::Sharded: same shard partition, same per-pair
 //       lookahead windows, same round count (pinned byte-identical by
-//       the ProcessSimConformance suite) — only the transport differs.
+//       the ProcessSimConformance suite) — only the exchange differs.
 //
-// The pair ratio is therefore exactly the cross-process tax: frame
-// encode/decode + ring polling per window round, amortised
-// over the model events inside the round.  Gated by bench_compare.py
+// The pair ratio is therefore exactly the cross-process tax: fork,
+// handoff frames through the rings and the result blobs, amortised over
+// the model events of the run.  Gated by bench_compare.py
 // --ab-only --ab-suffix Inproc so runner speed cancels; the engine is
 // kept warm across iterations on both sides (run_multigroup's slot
 // overload, the orchestrator's per-worker usage).

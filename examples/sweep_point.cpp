@@ -32,9 +32,8 @@ using namespace emcast::experiments;
                "sweep_point: %s\n"
                "usage: example_sweep_point [--utilization R] [--scheme S] "
                "[--engine single|sharded|process] [--shards N] [--threads N] "
-               "[--processes N] [--transport shm|socket] [--hosts N] "
-               "[--routers N] [--groups N] [--duration T] [--warmup T] "
-               "[--seed N]\n"
+               "[--processes N] [--hosts N] [--routers N] [--groups N] "
+               "[--duration T] [--warmup T] [--seed N]\n"
                "  schemes: capacity-aware sigma-rho sigma-rho-lambda "
                "adaptive\n",
                what.c_str());
@@ -67,12 +66,6 @@ sim::EngineKind parse_engine(const std::string& s) {
   usage_error("unknown --engine " + s);
 }
 
-sim::TransportKind parse_transport(const std::string& s) {
-  if (s == "shm") return sim::TransportKind::Shm;
-  if (s == "socket") return sim::TransportKind::Socket;
-  usage_error("unknown --transport " + s);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -100,7 +93,6 @@ int main(int argc, char** argv) {
       else if (flag == "--shards") cfg.shards = std::stoul(next());
       else if (flag == "--threads") cfg.threads = std::stoul(next());
       else if (flag == "--processes") cfg.processes = std::stoul(next());
-      else if (flag == "--transport") cfg.transport = parse_transport(next());
       else if (flag == "--hosts") cfg.hosts = std::stoul(next());
       else if (flag == "--routers") cfg.routers = std::stoul(next());
       else if (flag == "--groups") cfg.groups = std::stoi(next());

@@ -122,7 +122,6 @@ bool engine_reusable(const sim::Engine& engine,
   }
   if (ec.kind == sim::EngineKind::Process) {
     return ec.processes == config.processes &&
-           ec.transport == config.transport &&
            ec.timeout_seconds == config.process_timeout_seconds;
   }
   return ec.threads == config.threads;
@@ -160,7 +159,6 @@ RoundsEngineSetup rounds_engine_setup(const overlay::MultiGroupNetwork& mg,
   setup.engine.mailbox_capacity = config.mailbox_capacity;
   if (config.engine == sim::EngineKind::Process) {
     setup.engine.processes = config.processes;
-    setup.engine.transport = config.transport;
     setup.engine.timeout_seconds = config.process_timeout_seconds;
   }
   setup.engine.lookahead =
@@ -647,7 +645,8 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
       hc.flows = scenario.specs;
       hc.capacity = capacity;
       hc.mode = mode;
-      hc.mux_discipline = config.mux_discipline;
+      // The adversarial general MUX of the paper's analysis.
+      hc.mux_discipline = core::MuxDiscipline::PriorityLifoLowest;
       // Depth-staggered TDMA: shift this host's schedule by its depth
       // times the mean per-hop latency, so packets released inside their
       // working period upstream arrive inside the same working period here
@@ -819,8 +818,8 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
       rec.host = rd.i32();
       return rec;
     };
-    // Wire-declared record counts must fit the remaining payload (the
-    // wire codec's check_count discipline): a truncated blob must fail
+    // Blob-declared record counts must fit the remaining payload (the
+    // frame decoder's check_count discipline): a truncated blob must fail
     // as a clean range error, not a multi-GB reserve.
     constexpr std::size_t kRecWireBytes = 24;  // u64 + u64 + i32 + i32
     const auto check_rec_count = [](const util::ByteReader& rd,

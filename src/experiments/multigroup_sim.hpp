@@ -77,9 +77,6 @@ struct MultiGroupSimConfig {
   double headroom = 0.04;
   Time fwd_overhead = 250e-6;   ///< app-layer per-packet constant [s]
   Rate fwd_cpu_rate = 200e6;    ///< app-layer copy rate [bit/s]
-  /// The adversarial general MUX (see core::MuxDiscipline).
-  core::MuxDiscipline mux_discipline = core::MuxDiscipline::PriorityLifoLowest;
-
   /// Failure injection: stationary packet-loss rate on overlay hops
   /// (0 = lossless).  Losses follow a Gilbert-Elliott bursty process with
   /// `loss_burst` mean consecutive drops, independently per overlay edge.
@@ -131,9 +128,11 @@ struct MultiGroupSimConfig {
   std::size_t shards = 1;        ///< Sharded/Process: model partitions
   std::size_t threads = 0;       ///< Sharded: workers; 0 = auto
   std::size_t processes = 0;     ///< Process: workers; 0 = auto
-  /// Process: hub<->worker transport (shared-memory rings or sockets).
+  /// Selects nothing: shared memory is the process backend's only
+  /// transport.
   sim::TransportKind transport = sim::TransportKind::Shm;
-  /// Process: deadline for every blocking protocol step.
+  /// Process: the run fails once this long passes with no barrier
+  /// advance and no frame from any worker.
   double process_timeout_seconds = 30.0;
   std::size_t mailbox_capacity = 4096;
   bool collect_trace = false;    ///< record every delivery (tests)

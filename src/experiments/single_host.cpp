@@ -22,7 +22,8 @@ SingleHostResult run_single_host(const SingleHostConfig& config) {
   hc.flows = scenario.specs;
   hc.capacity = scenario.capacity_for(config.utilization);
   hc.mode = config.mode;
-  hc.mux_discipline = config.mux_discipline;
+  // The adversarial general MUX of the paper's analysis.
+  hc.mux_discipline = core::MuxDiscipline::PriorityLifoLowest;
 
   // Packets leaving the MUX reach the sink (the paper's Fig. 3 "sink"
   // node); the delay of interest is recorded inside the host.

@@ -21,9 +21,6 @@ struct SingleHostConfig {
   Time warmup = 3.0;
   std::uint64_t seed = 1;
   double headroom = 0.04;
-  /// The adversarial general MUX of the paper's analysis (see
-  /// core::MuxDiscipline).
-  core::MuxDiscipline mux_discipline = core::MuxDiscipline::PriorityLifoLowest;
 };
 
 struct SingleHostResult {

@@ -69,7 +69,6 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
     ProcessConfig pc;
     fill(pc);
     pc.processes = config_.processes;
-    pc.transport = config_.transport;
     pc.timeout_seconds = config_.timeout_seconds;
     process_ = std::make_unique<ProcessSimulator>(pc);
     core_ = process_.get();

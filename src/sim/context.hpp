@@ -52,6 +52,7 @@
 #include "sim/shard.hpp"
 #include "sim/sharded_simulator.hpp"
 #include "sim/simulator.hpp"
+#include "sim/transport.hpp"
 #include "util/types.hpp"
 
 namespace emcast::sim {
@@ -193,10 +194,10 @@ static_assert(sizeof(SimContext) == 16, "SimContext is a two-pointer handle");
 /// Which kernel an Engine stands up.  Purely a performance/scale knob:
 /// models written against SimContext produce byte-identical traces on
 /// all three (given the model's event times are tie-free across hosts —
-/// see docs/engine.md).  Process runs the same conservative-rounds
-/// protocol as Sharded, but with one OS process per shard group and a
-/// wire transport instead of shared-memory rings — the distributed
-/// backend (sim/process_backend.hpp).
+/// see docs/engine.md).  Process runs the same round loop as Sharded, but
+/// with one forked OS process per shard group on the same host, its
+/// synchronisation and handoffs in shared memory
+/// (sim/process_backend.hpp).
 enum class EngineKind { Single, Sharded, Process };
 
 const char* to_string(EngineKind kind);
@@ -230,10 +231,11 @@ struct EngineConfig {
   /// throughput knob like `threads` — results are identical for every
   /// value (same contiguous shard blocks).
   std::size_t processes = 0;
-  /// Hub <-> worker transport: shared-memory rings or stream sockets.
+  /// Selects nothing: shared memory is the only transport.
   TransportKind transport = TransportKind::Shm;
-  /// Deadline for every blocking channel operation on the process
-  /// backend; a wedged peer surfaces as std::runtime_error after this.
+  /// The process backend's one deadline: the parent fails the run with
+  /// std::runtime_error once this long passes with no barrier advance and
+  /// no frame from any worker.
   double timeout_seconds = 30.0;
 };
 
@@ -314,7 +316,7 @@ class Engine {
 
   /// Process only (no-op elsewhere — in-process backends read model state
   /// directly): install the result-marshalling hooks that carry each
-  /// shard's model results from its worker back to the hub (see
+  /// shard's model results from its worker back to the parent (see
   /// ShardResultWriter/Reader).  Install before run(), alongside
   /// set_deliver; cleared the same way models clear their DeliverFn.
   void set_shard_results(ShardResultWriter writer, ShardResultReader reader) {

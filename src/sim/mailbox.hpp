@@ -63,13 +63,14 @@ class ShardMailbox {
   void drain_into(std::vector<CrossShardMsg>& out);
 
   /// Consumer-side injection (process backend): append a message that a
-  /// REMOTE process's copy of this mailbox already stamped — seq, source
-  /// shard and the posted/spilled telemetry all belong to the producer's
-  /// copy, so none are touched here.  The next drain merges injected
-  /// messages into the same (deliver_at, source shard, seq) sort as
-  /// native ones, which is exactly why cross-process handoffs land in
-  /// the identical order the in-process backend produces.  Only legal
-  /// between windows (the consumer's own drain phase).
+  /// REMOTE worker process's copy of this mailbox already stamped — seq,
+  /// source shard and the posted/spilled telemetry all belong to the
+  /// producer's copy, so none are touched here.  The worker injects what
+  /// its incoming shared-memory rings carried after the exchange barrier;
+  /// the next drain merges injected messages into the same
+  /// (deliver_at, source shard, seq) sort as native ones, which is
+  /// exactly why cross-process handoffs land in the identical order the
+  /// threaded backend produces.  Only legal between windows.
   void inject(const CrossShardMsg& m) { spill_.push_back(m); }
 
   /// Rewind for a new run: empty the ring and spill arenas WITHOUT

@@ -1,31 +1,31 @@
 #include "sim/process_backend.hpp"
 
-#include <sched.h>
 #include <signal.h>
 #include <sys/prctl.h>
 #include <sys/wait.h>
+#include <time.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <new>
 #include <stdexcept>
 #include <string>
 
-#include "sim/wire_codec.hpp"
+#include "sim/transport.hpp"
+#include "util/barrier.hpp"
 
 namespace emcast::sim {
 
-struct ProcessSimulator::WorkerProc {
-  pid_t pid = -1;
-  std::unique_ptr<Channel> ch;
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  bool reaped = false;
-  std::string death;  ///< cached waitpid diagnostic once reaped
-};
-
 namespace {
+
+// Worker exit statuses besides 0 (rounds done, bye sent).
+constexpr int kExitAborted = 2;   ///< the rounds ended on an abort vote
+constexpr int kExitFailed = 3;    ///< the worker itself failed; error sent
+constexpr int kExitOrphaned = 4;  ///< the parent died before prctl
+
+std::size_t align64(std::size_t n) { return (n + 63) / 64 * 64; }
 
 std::string wait_status_string(std::size_t w, int status) {
   if (WIFSIGNALED(status)) {
@@ -37,42 +37,186 @@ std::string wait_status_string(std::size_t w, int status) {
          std::to_string(code) + " mid-protocol";
 }
 
+std::runtime_error failure(const std::string& what) {
+  return std::runtime_error("process backend: " + what);
+}
+
 }  // namespace
 
-void ProcessSimulator::reap_all(std::vector<WorkerProc>& workers,
-                                bool kill_first, double timeout) {
-  if (kill_first) {
-    for (auto& wp : workers) {
-      if (!wp.reaped && wp.pid > 0) ::kill(wp.pid, SIGKILL);
+/// The run's shared state, mapped before fork(): the barrier, the key
+/// image, and a ring for every (from, to) pair, where `to` is another
+/// worker or, as `to == workers`, the parent.
+class ProcessSimulator::Region {
+ public:
+  Region(std::size_t shards, std::size_t workers)
+      : workers_(workers),
+        keys_at_(align64(sizeof(util::SpinBarrier))),
+        rings_at_(keys_at_ + align64(shards * sizeof(std::uint64_t))),
+        ring_bytes_(ShmRing::footprint(ShmRing::kDefaultCapacity)),
+        map_(rings_at_ + workers * (workers + 1) * ring_bytes_) {
+    barrier_ = new (map_.data()) util::SpinBarrier(workers);
+    auto* keys = reinterpret_cast<std::uint64_t*>(map_.data() + keys_at_);
+    for (std::size_t i = 0; i < shards; ++i) {
+      new (keys + i) std::uint64_t(kInfTimeKey);
+    }
+    keys_ = {keys, shards};
+    for (std::size_t from = 0; from < workers; ++from) {
+      for (std::size_t to = 0; to <= workers; ++to) {
+        if (to != from) {
+          ShmRing::create(slot(from, to), ShmRing::kDefaultCapacity);
+        }
+      }
     }
   }
-  for (std::size_t w = 0; w < workers.size(); ++w) {
-    auto& wp = workers[w];
-    if (wp.reaped || wp.pid <= 0) continue;
-    const double start = monotonic_seconds();
-    bool killed = kill_first;
-    for (;;) {
-      int status = 0;
-      const pid_t r = ::waitpid(wp.pid, &status, killed ? 0 : WNOHANG);
-      if (r == wp.pid) {
-        wp.reaped = true;
-        wp.death = wait_status_string(w, status);
-        break;
-      }
-      if (monotonic_seconds() - start > timeout) {
-        ::kill(wp.pid, SIGKILL);
-        killed = true;
-        continue;
-      }
-      sched_yield();
+
+  util::SpinBarrier& barrier() { return *barrier_; }
+  std::span<std::uint64_t> keys() { return keys_; }
+  ShmRing& ring(std::size_t from, std::size_t to) {
+    return *std::launder(reinterpret_cast<ShmRing*>(slot(from, to)));
+  }
+  ShmRing& to_parent(std::size_t from) { return ring(from, workers_); }
+
+ private:
+  std::uint8_t* slot(std::size_t from, std::size_t to) {
+    return map_.data() + rings_at_ +
+           (from * (workers_ + 1) + to) * ring_bytes_;
+  }
+
+  std::size_t workers_;
+  std::size_t keys_at_;
+  std::size_t rings_at_;
+  std::size_t ring_bytes_;
+  SharedRegion map_;
+  util::SpinBarrier* barrier_ = nullptr;
+  std::span<std::uint64_t> keys_;
+};
+
+/// One worker process's side of the rounds: the RoundSync of its loop,
+/// over the region, and its result and bye frames.
+class ProcessSimulator::Worker final : public RoundsCore::RoundSync {
+ public:
+  Worker(ProcessSimulator& sim, Region& region, std::size_t w)
+      : sim_(sim),
+        region_(region),
+        w_(w),
+        begin_(sim.block_begin(w, sim.processes_)),
+        end_(sim.block_begin(w + 1, sim.processes_)),
+        idle_([this] { pump(); }) {
+    for (std::size_t v = 0; v < sim.processes_; ++v) {
+      if (v != w) inbox_.emplace_back(&region.ring(v, w));
     }
   }
-}
+  Worker(const Worker&) = delete;  // idle_ captures this
+  Worker& operator=(const Worker&) = delete;
+
+  void barrier() override { region_.barrier().arrive_and_wait(idle_); }
+
+  void exchange() override {
+    // Egress: this process's copies of the remote destinations' mailboxes
+    // hold what its shards posted to them this round.
+    const std::size_t n = sim_.shard_count();
+    for (std::size_t d = 0; d < n; ++d) {
+      if (d >= begin_ && d < end_) continue;
+      for (std::size_t s = begin_; s < end_; ++s) {
+        batch_.clear();
+        sim_.mailbox(s, d).drain_into(batch_);
+        if (batch_.empty()) continue;
+        frame_.clear();
+        put_handoff(frame_, static_cast<std::uint32_t>(d), batch_);
+        region_.ring(w_, sim_.owner_of(d)).write_frame(frame_, idle_);
+      }
+    }
+    region_.barrier().arrive_and_wait(idle_);
+    // Ingest: every egress of the round is in the rings (or already
+    // pumped), and none of the next round's can start before this
+    // worker's next barrier, so the rings hold exactly this round.
+    for (RingReader& in : inbox_) {
+      in.pump();
+      std::span<const std::uint8_t> payload;
+      while (in.next(payload)) {
+        decode_frame(payload, decoded_);
+        const std::size_t d = decoded_.shard;
+        if (decoded_.tag != FrameTag::kHandoff || d < begin_ || d >= end_) {
+          throw TransportError("transport: handoff for another worker");
+        }
+        for (const CrossShardMsg& m : decoded_.msgs) {
+          if (m.source_shard >= n || m.source_shard == d) {
+            throw TransportError("transport: handoff from no other shard");
+          }
+          sim_.mailbox(m.source_shard, d).inject(m);
+        }
+      }
+      if (!in.empty()) throw TransportError("transport: partial handoff");
+    }
+  }
+
+  void record_error() noexcept override {
+    try {
+      throw;
+    } catch (const std::exception& e) {
+      send_error(e.what());
+    } catch (...) {
+      send_error("unknown model exception");
+    }
+  }
+
+  /// Results of every shard of the block, then the bye frame.
+  void send_results() {
+    if (sim_.result_writer_) {
+      std::vector<std::uint8_t> blob;
+      for (std::size_t s = begin_; s < end_; ++s) {
+        blob.clear();
+        sim_.result_writer_(s, blob);
+        frame_.clear();
+        put_result(frame_, static_cast<std::uint32_t>(s), blob);
+        region_.to_parent(w_).write_frame(frame_, idle_);
+      }
+    }
+    const RoundsCounts c = sim_.block_counts(begin_, end_);
+    frame_.clear();
+    put_bye(frame_, {sim_.rounds_, c.events, c.posted, c.spilled});
+    region_.to_parent(w_).write_frame(frame_, idle_);
+  }
+
+ private:
+  /// Move every byte other workers wrote to this one into private memory.
+  void pump() {
+    for (RingReader& in : inbox_) in.pump();
+  }
+
+  void send_error(std::string_view what) noexcept {
+    try {
+      frame_.clear();
+      put_error(frame_, what);
+      region_.to_parent(w_).write_frame(frame_, idle_);
+    } catch (...) {
+      _exit(kExitFailed);  // the parent sees an exit without a bye
+    }
+  }
+
+  ProcessSimulator& sim_;
+  Region& region_;
+  const std::size_t w_;
+  const std::size_t begin_;
+  const std::size_t end_;
+  const std::function<void()> idle_;
+  std::vector<RingReader> inbox_;  ///< from each other worker
+  std::vector<CrossShardMsg> batch_;
+  std::vector<std::uint8_t> frame_;
+  Frame decoded_;
+};
+
+struct ProcessSimulator::Child {
+  pid_t pid = -1;
+  RingReader frames;
+  bool exited = false;
+  int status = 0;
+  bool bye = false;
+};
 
 ProcessSimulator::ProcessSimulator(const ProcessConfig& config)
     : RoundsCore(config),
       processes_(worker_count(config.processes)),
-      transport_(config.transport),
       timeout_seconds_(config.timeout_seconds) {
   if (!(config.timeout_seconds > 0)) {
     throw std::invalid_argument("ProcessSimulator: timeout must be > 0");
@@ -82,9 +226,7 @@ ProcessSimulator::ProcessSimulator(const ProcessConfig& config)
 ProcessSimulator::~ProcessSimulator() = default;
 
 std::size_t ProcessSimulator::owner_of(std::size_t shard) const {
-  // Inverse of the contiguous block map; processes_ is small, shard
-  // lookups are per-handoff on the hub, so the closed form matters
-  // little — but keep it O(1) anyway.
+  // Inverse of the contiguous block map, O(1).
   std::size_t w = shard * processes_ / shard_count();
   while (block_begin(w, processes_) > shard) --w;
   while (block_begin(w + 1, processes_) <= shard) ++w;
@@ -98,398 +240,154 @@ void ProcessSimulator::set_result_hooks(ShardResultWriter writer,
 }
 
 std::uint64_t ProcessSimulator::run(Time until) {
-  // Channels first, THEN fork: the shm mappings must predate the children
-  // to be shared, and socketpairs must exist for both sides to inherit.
-  std::vector<ChannelPair> pairs;
-  pairs.reserve(processes_);
-  for (std::size_t w = 0; w < processes_; ++w) {
-    pairs.push_back(transport_ == TransportKind::Shm
-                        ? make_shm_pair()
-                        : make_socket_pair());
-  }
+  // Round 0's drain, done here once: a setup-time post sits in the
+  // parent's mailbox, and every forked copy of it would deliver it.
+  for (std::size_t s = 0; s < shard_count(); ++s) drain(s);
 
-  std::vector<WorkerProc> workers(processes_);
+  Region region(shard_count(), processes_);
+  const pid_t parent = ::getpid();
+  std::vector<Child> children;
+  children.reserve(processes_);
+  const auto kill_and_reap = [&children] {
+    for (const Child& c : children) {
+      if (!c.exited) ::kill(c.pid, SIGKILL);
+    }
+    for (Child& c : children) {
+      while (!c.exited && ::waitpid(c.pid, &c.status, 0) < 0 &&
+             errno == EINTR) {
+      }
+      c.exited = true;
+    }
+  };
+
   for (std::size_t w = 0; w < processes_; ++w) {
     const pid_t pid = ::fork();
     if (pid < 0) {
       const std::string err = std::strerror(errno);
-      reap_all(workers, /*kill_first=*/true, timeout_seconds_);
-      throw std::runtime_error("process backend: fork failed: " + err);
+      kill_and_reap();
+      throw failure("fork failed: " + err);
     }
-    if (pid == 0) {
-      // Child: keep only this worker's end; dropping the rest closes the
-      // inherited hub-side fds (socket EOF semantics need that) and
-      // unmaps the other pairs' rings in this process.  A dying hub
-      // takes the worker with it (PDEATHSIG) even if the worker is
-      // compute-bound and not watching the channel.
-      std::unique_ptr<Channel> mine = std::move(pairs[w].worker_end);
-      pairs.clear();
-      workers.clear();
-      ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-      worker_main(w, *mine, until);  // _exits, never returns
-    }
-    workers[w].pid = pid;
-    workers[w].begin = block_begin(w, processes_);
-    workers[w].end = block_begin(w + 1, processes_);
+    if (pid == 0) worker_main(w, region, parent, until);
+    children.push_back(Child{pid, RingReader(&region.to_parent(w))});
   }
-  for (std::size_t w = 0; w < processes_; ++w) {
-    workers[w].ch = std::move(pairs[w].hub_end);
-  }
-  pairs.clear();  // parent drops the worker ends
-  for (std::size_t w = 0; w < processes_; ++w) {
-    WorkerProc* wp = &workers[w];
-    wp->ch->set_timeout(timeout_seconds_);
-    wp->ch->set_peer_probe([wp, w]() -> std::string {
-      if (wp->reaped) return wp->death;
-      int status = 0;
-      if (::waitpid(wp->pid, &status, WNOHANG) != wp->pid) return "";
-      wp->reaped = true;
-      wp->death = wait_status_string(w, status);
-      return wp->death;
-    });
-  }
-
   try {
-    return hub_main(workers, until);
-  } catch (const TransportError& e) {
-    // A dead or wedged worker: the run is unrecoverable, but the FAILURE
-    // must be clean — kill the survivors, reap everything, surface the
-    // channel's diagnostic.  No hang, no zombie, no leaked fd.
-    reap_all(workers, /*kill_first=*/true, timeout_seconds_);
-    throw std::runtime_error(std::string("process backend: ") + e.what());
-  } catch (const wire::WireError& e) {
-    reap_all(workers, /*kill_first=*/true, timeout_seconds_);
-    throw std::runtime_error(std::string("process backend: ") + e.what());
+    return supervise(children, region);
   } catch (...) {
-    reap_all(workers, /*kill_first=*/true, timeout_seconds_);
+    kill_and_reap();
     throw;
   }
 }
 
-std::uint64_t ProcessSimulator::hub_main(std::vector<WorkerProc>& workers,
-                                         Time until) {
+void ProcessSimulator::worker_main(std::size_t w, Region& region,
+                                   pid_t parent, Time until) {
+  // The parent's death takes the worker with it, even mid-window; a
+  // parent that died before prctl took effect is caught by the check.
+  ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+  if (::getppid() != parent) _exit(kExitOrphaned);
+  int status = kExitFailed;
+  try {
+    Worker worker(*this, region, w);
+    try {
+      if (worker_rounds(w, processes_, region.keys(), worker, until)) {
+        worker.send_results();
+        status = 0;
+      } else {
+        status = kExitAborted;
+      }
+    } catch (...) {
+      worker.record_error();
+    }
+  } catch (...) {
+    // No worker to report through (its set-up failed): exit without a bye.
+  }
+  _exit(status);
+}
+
+std::uint64_t ProcessSimulator::supervise(std::vector<Child>& children,
+                                          Region& region) {
+  using Clock = std::chrono::steady_clock;
   const std::size_t n = shard_count();
-  std::vector<std::uint8_t> buf;
-  std::vector<std::uint8_t> frame;
-  std::string model_error;
-
-  // Receive the next frame from `wp`, absorbing Error frames (a worker
-  // reports its model exception out-of-band, then keeps the protocol
-  // moving with abort votes; only the FIRST message is kept).
-  auto recv_typed = [&](WorkerProc& wp) -> wire::FrameType {
-    for (;;) {
-      wp.ch->recv_frame(frame);
-      const wire::FrameType t = wire::peek_type(frame.data(), frame.size());
-      if (t != wire::FrameType::kError) return t;
-      wire::ErrorFrame e = wire::decode_error(frame.data(), frame.size());
-      if (model_error.empty()) model_error = std::move(e.message);
-    }
-  };
-
-  // ---- handshake: one Hello per worker, blocks verified.
-  for (std::size_t w = 0; w < workers.size(); ++w) {
-    if (recv_typed(workers[w]) != wire::FrameType::kHello) {
-      throw wire::WireError("wire: expected hello from worker " +
-                            std::to_string(w));
-    }
-    const wire::HelloFrame h = wire::decode_hello(frame.data(), frame.size());
-    if (h.worker != w || h.shard_begin != workers[w].begin ||
-        h.shard_end != workers[w].end) {
-      throw wire::WireError("wire: hello does not match worker " +
-                            std::to_string(w) + "'s shard block");
-    }
-  }
-
-  std::vector<std::uint64_t> keys(n, kInfTimeKey);
-  // Relay backlog, one queue per destination worker: a worker still in
-  // its egress phase is not reading its channel (it is blocked sending
-  // handoffs to us), so relaying to it immediately can deadlock once the
-  // rings fill in both directions — its egress and the relayed traffic
-  // each may exceed the 256-KB ring.  Frames for a worker are held here
-  // until its RoundDone arrives; from then on it sits in its ingest recv
-  // loop and is guaranteed to drain whatever the hub sends.
-  std::vector<bool> ingesting(workers.size(), false);
-  std::vector<std::vector<std::vector<std::uint8_t>>> backlog(workers.size());
-  for (std::uint64_t round = 0;; ++round) {
-    // ---- collect the key image (the distributed min-reduction).
-    for (std::size_t w = 0; w < workers.size(); ++w) {
-      WorkerProc& wp = workers[w];
-      if (recv_typed(wp) != wire::FrameType::kKeys) {
-        throw wire::WireError("wire: expected keys from worker " +
-                              std::to_string(w));
-      }
-      const wire::KeysFrame kf = wire::decode_keys(frame.data(), frame.size());
-      if (kf.round != round || kf.shard_begin != wp.begin ||
-          kf.keys.size() != wp.end - wp.begin) {
-        throw wire::WireError("wire: keys frame out of step (worker " +
-                              std::to_string(w) + ")");
-      }
-      std::copy(kf.keys.begin(), kf.keys.end(), keys.begin() + wp.begin);
-    }
-    const std::uint64_t kmin = *std::min_element(keys.begin(), keys.end());
-
-    // ---- verdict, broadcast to every worker at once.
-    wire::WindowFrame win;
-    win.round = round;
-    if (kmin == kAbortTimeKey) {
-      win.verdict = wire::WindowVerdict::kAbort;
-    } else if (finished(kmin, until)) {
-      win.verdict = wire::WindowVerdict::kDone;
-    } else {
-      win.verdict = wire::WindowVerdict::kRun;
-      win.keys = keys;
-    }
-    buf.clear();
-    wire::encode(buf, win);
-    for (auto& wp : workers) wp.ch->send_frame(buf);
-
-    if (win.verdict == wire::WindowVerdict::kAbort) {
-      // Workers _exit on the abort verdict; reap, then surface the model
-      // error.  The original exception TYPE died with the worker — the
-      // message is what crosses the boundary (see the class comment).
-      reap_all(workers, /*kill_first=*/false, timeout_seconds_);
-      throw std::runtime_error(
-          "process backend: " +
-          (model_error.empty() ? std::string("worker voted abort")
-                               : model_error));
-    }
-    if (win.verdict == wire::WindowVerdict::kDone) break;
-
-    // ---- route handoffs until every worker's RoundDone is in.  Raw
-    // frame bytes are relayed untouched — the hub never decodes a batch.
-    // Per-destination delivery order matches an immediate relay (source
-    // workers read in index order, frames in arrival order within each),
-    // so the buffering is invisible to the protocol.
-    std::fill(ingesting.begin(), ingesting.end(), false);
-    for (std::size_t w = 0; w < workers.size(); ++w) {
-      for (;;) {
-        const wire::FrameType t = recv_typed(workers[w]);
-        if (t == wire::FrameType::kRoundDone) {
-          const wire::RoundDoneFrame rd =
-              wire::decode_round_done(frame.data(), frame.size());
-          if (rd.round != round) {
-            throw wire::WireError("wire: round-done out of step");
-          }
-          break;
-        }
-        if (t != wire::FrameType::kHandoff) {
-          throw wire::WireError("wire: expected handoff or round-done");
-        }
-        const std::uint32_t dest =
-            wire::decode_handoff_dest(frame.data(), frame.size());
-        if (dest >= n) {
-          throw wire::WireError("wire: handoff to nonexistent shard");
-        }
-        const std::size_t owner = owner_of(dest);
-        if (ingesting[owner]) {
-          workers[owner].ch->send_frame(frame);
-        } else {
-          backlog[owner].push_back(frame);
-        }
-      }
-      ingesting[w] = true;
-      for (const auto& held : backlog[w]) workers[w].ch->send_frame(held);
-      backlog[w].clear();
-    }
-    buf.clear();
-    wire::encode(buf, wire::DrainGoFrame{round});
-    for (auto& wp : workers) wp.ch->send_frame(buf);
-    ++rounds_;
-  }
-
-  // ---- done: results + telemetry, in worker order; blobs replayed in
-  // shard order afterwards so the hub-side merge is deterministic.
   std::vector<std::vector<std::uint8_t>> blobs(n);
   std::vector<bool> have_blob(n, false);
-  const std::uint64_t events_before = counts_.events;
-  for (std::size_t w = 0; w < workers.size(); ++w) {
-    for (;;) {
-      const wire::FrameType t = recv_typed(workers[w]);
-      if (t == wire::FrameType::kResult) {
-        wire::ResultFrame rf = wire::decode_result(frame.data(), frame.size());
-        if (rf.shard >= n) {
-          throw wire::WireError("wire: result for nonexistent shard");
+  RoundsCounts counts;
+  std::uint64_t rounds = rounds_;
+  Frame frame;
+  std::uint64_t generation = region.barrier().generation();
+  Clock::time_point last_progress = Clock::now();
+
+  for (std::size_t done = 0; done < children.size();) {
+    bool busy = false;
+    // Exits first, frames second: every frame a worker wrote before its
+    // exit is read before the exit is judged.
+    for (Child& c : children) {
+      if (!c.exited && ::waitpid(c.pid, &c.status, WNOHANG) == c.pid) {
+        c.exited = true;
+        busy = true;
+      }
+    }
+    for (std::size_t w = 0; w < children.size(); ++w) {
+      Child& c = children[w];
+      busy |= c.frames.pump();
+      std::span<const std::uint8_t> payload;
+      while (c.frames.next(payload)) {
+        decode_frame(payload, frame);
+        switch (frame.tag) {
+          case FrameTag::kResult:
+            if (frame.shard >= n) throw failure("result of no shard");
+            blobs[frame.shard].swap(frame.bytes);
+            have_blob[frame.shard] = true;
+            break;
+          case FrameTag::kBye:
+            c.bye = true;
+            if (w == 0) rounds = frame.bye.rounds;
+            counts.events += frame.bye.events;
+            counts.posted += frame.bye.posted;
+            counts.spilled += frame.bye.spilled;
+            break;
+          case FrameTag::kError:
+            throw failure(std::string(frame.bytes.begin(), frame.bytes.end()));
+          default:
+            throw failure("worker " + std::to_string(w) +
+                          " sent a frame for another worker");
         }
-        blobs[rf.shard] = std::move(rf.blob);
-        have_blob[rf.shard] = true;
-        continue;
       }
-      if (t == wire::FrameType::kBye) {
-        const wire::ByeFrame bye =
-            wire::decode_bye(frame.data(), frame.size());
-        counts_.events += bye.events_executed;
-        counts_.posted += bye.messages_posted;
-        counts_.spilled += bye.messages_spilled;
-        break;
+    }
+    done = 0;
+    for (std::size_t w = 0; w < children.size(); ++w) {
+      const Child& c = children[w];
+      if (!c.exited) continue;
+      if (!c.bye || !WIFEXITED(c.status) || WEXITSTATUS(c.status) != 0) {
+        throw failure(wait_status_string(w, c.status));
       }
-      throw wire::WireError("wire: expected result or bye");
+      ++done;
+    }
+
+    const std::uint64_t g = region.barrier().generation();
+    const Clock::time_point now = Clock::now();
+    if (busy || g != generation) {
+      generation = g;
+      last_progress = now;
+    } else if (now - last_progress >
+               std::chrono::duration<double>(timeout_seconds_)) {
+      throw failure("timeout: no barrier advance and no frame for " +
+                    std::to_string(timeout_seconds_) + " s");
+    }
+    if (!busy) {
+      const timespec pause{0, 50'000};
+      ::nanosleep(&pause, nullptr);
     }
   }
-  reap_all(workers, /*kill_first=*/false, timeout_seconds_);
+
+  rounds_ = rounds;
+  counts_.events += counts.events;
+  counts_.posted += counts.posted;
+  counts_.spilled += counts.spilled;
   if (result_reader_) {
     for (std::size_t s = 0; s < n; ++s) {
       if (have_blob[s]) result_reader_(s, blobs[s].data(), blobs[s].size());
     }
   }
-  return counts_.events - events_before;
-}
-
-void ProcessSimulator::worker_main(std::size_t w, Channel& ch, Time until) {
-  const pid_t hub_pid = ::getppid();
-  ch.set_timeout(timeout_seconds_);
-  ch.set_peer_probe([hub_pid]() -> std::string {
-    return ::getppid() == hub_pid ? std::string() : "hub process died";
-  });
-
-  const std::size_t n = shard_count();
-  const std::size_t begin = block_begin(w, processes_);
-  const std::size_t end = block_begin(w + 1, processes_);
-
-  std::vector<std::uint8_t> buf;
-  std::vector<std::uint8_t> frame;
-  bool failed = false;
-  auto send_error = [&](const char* what) {
-    buf.clear();
-    wire::encode(buf, wire::ErrorFrame{std::string(what)});
-    ch.send_frame(buf);
-    failed = true;
-  };
-
-  try {
-    buf.clear();
-    wire::encode(buf, wire::HelloFrame{static_cast<std::uint32_t>(w),
-                                       static_cast<std::uint32_t>(begin),
-                                       static_cast<std::uint32_t>(end)});
-    ch.send_frame(buf);
-
-    wire::KeysFrame kf;
-    kf.shard_begin = static_cast<std::uint32_t>(begin);
-    kf.keys.resize(end - begin);
-    std::vector<CrossShardMsg> egress;
-
-    for (std::uint64_t round = 0;; ++round) {
-      // ---- drain phase (a failed worker keeps the protocol moving with
-      // abort votes).
-      if (!failed) {
-        try {
-          for (std::size_t s = begin; s < end; ++s) {
-            kf.keys[s - begin] = drain(s);
-          }
-        } catch (const std::exception& e) {
-          send_error(e.what());
-        } catch (...) {
-          send_error("unknown model exception");
-        }
-      }
-      if (failed) {
-        std::fill(kf.keys.begin(), kf.keys.end(), kAbortTimeKey);
-      }
-      kf.round = round;
-      buf.clear();
-      wire::encode(buf, kf);
-      ch.send_frame(buf);
-
-      ch.recv_frame(frame);
-      const wire::WindowFrame win =
-          wire::decode_window(frame.data(), frame.size());
-      if (win.verdict == wire::WindowVerdict::kAbort) _exit(2);
-      if (win.verdict == wire::WindowVerdict::kDone) break;
-      if (win.keys.size() != n) {
-        throw wire::WireError("wire: window key image size mismatch");
-      }
-
-      // ---- window phase: the broadcast key image stands in for the
-      // threaded backend's shared one.
-      std::copy(win.keys.begin(), win.keys.end(), key_image().begin());
-      const std::uint64_t kmin =
-          *std::min_element(win.keys.begin(), win.keys.end());
-      if (!failed) {
-        try {
-          for (std::size_t s = begin; s < end; ++s) {
-            run_window(s, key_time(kmin), until);
-          }
-        } catch (const std::exception& e) {
-          send_error(e.what());
-        } catch (...) {
-          send_error("unknown model exception");
-        }
-      }
-
-      // ---- egress: cross-process posts landed in THIS process's
-      // copy-on-write copies of the remote destinations' mailboxes; ship
-      // each non-empty (my source -> remote dest) pair as one Handoff.
-      // Same-process destinations keep the in-process path untouched.
-      for (std::size_t d = 0; d < n; ++d) {
-        if (d >= begin && d < end) continue;
-        for (std::size_t s = begin; s < end; ++s) {
-          if (s == d) continue;
-          egress.clear();
-          mailbox(s, d).drain_into(egress);
-          if (egress.empty()) continue;
-          wire::HandoffFrame hf;
-          hf.dest_shard = static_cast<std::uint32_t>(d);
-          hf.msgs = std::move(egress);
-          buf.clear();
-          wire::encode(buf, hf);
-          ch.send_frame(buf);
-          egress = std::move(hf.msgs);  // keep the arena warm
-        }
-      }
-      buf.clear();
-      wire::encode(buf, wire::RoundDoneFrame{round});
-      ch.send_frame(buf);
-
-      // ---- ingest forwarded handoffs until the barrier (DrainGo).
-      for (;;) {
-        ch.recv_frame(frame);
-        const wire::FrameType t = wire::peek_type(frame.data(), frame.size());
-        if (t == wire::FrameType::kDrainGo) break;
-        if (t != wire::FrameType::kHandoff) {
-          throw wire::WireError("wire: expected handoff or drain-go");
-        }
-        const wire::HandoffFrame hf =
-            wire::decode_handoff(frame.data(), frame.size());
-        if (hf.dest_shard < begin || hf.dest_shard >= end) {
-          throw wire::WireError("wire: handoff routed to the wrong worker");
-        }
-        for (const CrossShardMsg& m : hf.msgs) {
-          if (m.source_shard >= n || m.source_shard == hf.dest_shard) {
-            throw wire::WireError("wire: handoff from an impossible source");
-          }
-          mailbox(m.source_shard, hf.dest_shard).inject(m);
-        }
-      }
-    }
-
-    // ---- epilogue: advance drained shards to the horizon (no events can
-    // execute — cannot throw), marshal results, report telemetry, leave.
-    for (std::size_t s = begin; s < end; ++s) finish(s, until);
-    if (result_writer_ && !failed) {
-      std::vector<std::uint8_t> blob;
-      for (std::size_t s = begin; s < end; ++s) {
-        blob.clear();
-        result_writer_(s, blob);
-        wire::ResultFrame rf;
-        rf.shard = static_cast<std::uint32_t>(s);
-        rf.blob = std::move(blob);
-        buf.clear();
-        wire::encode(buf, rf);
-        ch.send_frame(buf);
-        blob = std::move(rf.blob);
-      }
-    }
-    const RoundsCounts c = block_counts(begin, end);
-    buf.clear();
-    wire::encode(buf, wire::ByeFrame{c.events, c.posted, c.spilled});
-    ch.send_frame(buf);
-    _exit(0);
-  } catch (...) {
-    // Transport/protocol failure (hub died, timeout, corrupt frame):
-    // nobody left to report to — exit with a distinct status for the
-    // hub's waitpid diagnostic.  _exit, never return: this process must
-    // not unwind into the parent's code or static destructors.
-    _exit(3);
-  }
+  return counts.events;
 }
 
 }  // namespace emcast::sim

@@ -40,7 +40,6 @@ RoundsCore::RoundsCore(const RoundsConfig& config)
       if (i != j) shards_[i]->outgoing_[j] = &mailbox(i, j);
     }
   }
-  keys_.assign(n, kInfTimeKey);
   if (!config.lookahead_matrix.empty()) {
     set_lookahead_matrix(config.lookahead_matrix);
   }
@@ -175,11 +174,65 @@ void RoundsCore::apply_floors() {
   }
 }
 
+bool RoundsCore::worker_rounds(std::size_t w, std::size_t workers,
+                               std::span<std::uint64_t> keys,
+                               RoundSync& sync, Time until) {
+  const std::size_t begin = block_begin(w, workers);
+  const std::size_t end = block_begin(w + 1, workers);
+
+  // A model exception anywhere must not strand the other workers at a
+  // barrier.  The failed worker keeps walking the round protocol but
+  // stops doing work and writes the abort vote into its key slots every
+  // round; all workers see the abort at the aligned decision point —
+  // never split across barrier indices — and leave together.  (An
+  // asynchronous abort *flag* deadlocks here: a worker parked at the
+  // mid barrier can observe a flag set by a worker already past its
+  // window phase, leave early, and strand the others one barrier later.)
+  bool failed = false;
+  for (;;) {
+    if (!failed) {
+      try {
+        for (std::size_t s = begin; s < end; ++s) keys[s] = drain(s);
+      } catch (...) {
+        sync.record_error();
+        failed = true;
+      }
+    }
+    if (failed) {
+      std::fill(keys.begin() + begin, keys.begin() + end, kAbortTimeKey);
+    }
+    sync.barrier();
+
+    // Every worker reads the same image, so every verdict is the same.
+    const std::uint64_t kmin = *std::min_element(keys.begin(), keys.end());
+    if (kmin == kAbortTimeKey) return false;
+    if (finished(kmin, until)) break;  // beyond-horizon events stay
+
+    if (!failed) {
+      try {
+        for (std::size_t s = begin; s < end; ++s) {
+          run_window(s, keys, key_time(kmin), until);
+        }
+      } catch (...) {
+        sync.record_error();
+        failed = true;  // voted in the next round's drain step
+      }
+    }
+    if (w == 0) ++rounds_;
+    sync.exchange();
+  }
+
+  // Horizon epilogue: advance the clocks exactly as a lone
+  // Simulator::run(until) would.  Every remaining event is beyond the
+  // horizon, so none executes and this cannot throw.
+  for (std::size_t s = begin; s < end; ++s) shards_[s]->sim_.run(until);
+  return true;
+}
+
 std::uint64_t RoundsCore::drain(std::size_t s) {
   Shard& shard = *shards_[s];
   shard.drain_and_schedule();
-  keys_[s] = time_key(shard.sim_.next_event_time());
-  return keys_[s];
+  return time_key(shard.sim_.next_event_time());
 }
 
 Time RoundsCore::window_end(Time tmin) const {
@@ -201,7 +254,9 @@ Time RoundsCore::window_end(Time tmin) const {
   return w;
 }
 
-void RoundsCore::run_window(std::size_t s, Time tmin, Time until) {
+void RoundsCore::run_window(std::size_t s,
+                            std::span<const std::uint64_t> keys, Time tmin,
+                            Time until) {
   Time w;
   if (matrix_.empty()) {
     w = window_end(tmin);
@@ -213,17 +268,13 @@ void RoundsCore::run_window(std::size_t s, Time tmin, Time until) {
     const std::size_t n = shards_.size();
     w = kTimeInfinity;
     for (std::size_t j = 0; j < n; ++j) {
-      if (keys_[j] == kInfTimeKey) continue;
-      w = std::min(w, key_time(keys_[j]) + matrix_[j * n + s]);
+      if (keys[j] == kInfTimeKey) continue;
+      w = std::min(w, key_time(keys[j]) + matrix_[j * n + s]);
     }
   }
   if (!(w > tmin)) w = std::nextafter(tmin, kTimeInfinity);
   w = std::min(w, std::nextafter(until, kTimeInfinity));
   shards_[s]->sim_.run_before(w);
-}
-
-void RoundsCore::finish(std::size_t s, Time until) {
-  shards_[s]->sim_.run(until);
 }
 
 RoundsCounts RoundsCore::block_counts(std::size_t begin,

@@ -2,9 +2,9 @@
 // The conservative-rounds core: everything the two rounds backends share.
 // ShardedSimulator runs the rounds on worker threads, ProcessSimulator on
 // forked worker processes; both derive from RoundsCore, which owns the
-// shards, their mailbox graph, the lookahead state and the per-round
-// steps.  One piece of code therefore computes every window on both
-// backends, and the same partition gives the same rounds on both.
+// shards, their mailbox graph, the lookahead state and the round loop.
+// One piece of code therefore computes every window on both backends,
+// and the same partition gives the same rounds on both.
 //
 // The classic conservative-PDES argument (cf. UNISON-for-ns-3): if every
 // cross-shard interaction takes at least `lookahead` of simulated time,
@@ -15,23 +15,27 @@
 // and drained between windows, sorted into deterministic
 // (deliver_at, source shard, seq) order before local scheduling.
 //
-// A round, in the steps this class provides (the backend supplies the
-// synchronisation between them — spin barriers and an atomic
-// min-reduction on threads, hub frames on processes):
+// The round loop (worker_rounds) exists once, here; a backend supplies
+// only the synchronisation between its steps (RoundSync) and the key
+// image, one next-event time key per shard.  Each worker, each round:
 //
-//   drain:    drain(s) merges shard s's incoming mailboxes into its kernel
-//             and publishes its next-event time key into the key image
-//   sync      -- all drains complete; the backend takes the minimum key T
-//             over all shards, and finished(T, until) ends the rounds
-//   window:   run_window(s, T, until) derives shard s's window end from
-//             the key image and the lookahead state, applies the progress
-//             floor and the horizon clamp, and runs the kernel over
+//   drain:    merge its shards' incoming mailboxes into their kernels and
+//             write each shard's next-event time key into the key image
+//             (a failed worker writes the abort vote instead)
+//   barrier   -- every drain complete, the key image final
+//   decide:   kmin = the minimum over the key image; stop on the abort
+//             vote or once finished(kmin, until)
+//   window:   run_window derives each shard's window end from the key
+//             image and the lookahead state and runs the kernel over the
 //             events strictly before it
-//   sync      -- all windows complete; mailboxes quiescent again
+//   exchange  -- every window complete, every post in its destination's
+//             mailbox, the key image free for the next round
 //
-// and, once the rounds end, finish(s, until) advances every kernel clock
-// to the horizon.
-//
+// and, once the rounds end, every kernel clock advances to the horizon.
+// Threads implement both synchronisation steps as one spin barrier over
+// shared mailboxes; processes implement the exchange as egress, barrier,
+// ingest over shared-memory rings.
+
 // Shards and workers are independent axes: S shards multiplex over
 // W <= S workers (threads or processes) in fixed contiguous blocks
 // (block_begin).  The schedule — windows, drain order, local event order
@@ -73,14 +77,14 @@ struct LookaheadEpoch {
 };
 
 /// All pending times are finite (push rejects non-finite), so the key of
-/// +infinity is a safe "empty" sentinel for the min-reduction.
+/// +infinity is a safe "empty" sentinel in the key image.
 inline const std::uint64_t kInfTimeKey = time_key(kTimeInfinity);
 
-/// Abort vote: rides the min-reduction below every real time key (keys of
+/// Abort vote: sorts below every real time key in the key image (keys of
 /// finite times are never 0 — non-negative times set the sign bit and the
 /// all-ones pattern that complements to 0 is a NaN, which push rejects).
-/// A failed worker votes this instead of a next-event time; every
-/// participant then observes the abort at the same aligned decision point
+/// A failed worker writes this instead of its shards' next-event times;
+/// every worker then observes the abort at the same aligned decision point
 /// it reads the window from.
 inline constexpr std::uint64_t kAbortTimeKey = 0;
 
@@ -221,39 +225,37 @@ class RoundsCore {
     return w * shards_.size() / workers;
   }
 
-  // -- the per-round steps (see the header comment) -----------------------
+  /// The synchronisation a backend gives one worker's round loop.
+  class RoundSync {
+   public:
+    /// Return once every worker has arrived.
+    virtual void barrier() = 0;
+    /// End the round's windows: on return, every message any worker
+    /// posted in them sits in its destination's mailbox, and no worker
+    /// still reads the key image.
+    virtual void exchange() = 0;
+    /// Keep the model exception in flight; called from a catch block.
+    virtual void record_error() noexcept = 0;
 
-  /// Drain shard s's mailboxes into its kernel, publish its next-event
-  /// time key into the key image and return it.  Runs the model's message
-  /// handler, so it throws what the model throws.
-  std::uint64_t drain(std::size_t s);
+   protected:
+    ~RoundSync() = default;
+  };
 
-  /// True when the rounds are over: every shard drained (kmin is the
-  /// empty sentinel) or the minimum next-event time is past the horizon.
-  /// kmin must not be the abort vote.
-  static bool finished(std::uint64_t kmin, Time until) {
-    return kmin == kInfTimeKey || key_time(kmin) > until;
-  }
+  /// Worker `w` of `workers` runs its shard block's rounds to `until` (see
+  /// the header comment).  `keys` is the key image every worker reads, one
+  /// slot per shard; the worker writes only its own block's slots.  A
+  /// model exception is handed to sync.record_error() and turns into the
+  /// abort vote.  Returns false when the rounds ended on an abort vote;
+  /// true when they reached the horizon, with the block's clocks advanced
+  /// to it.  Worker 0 counts the rounds.
+  bool worker_rounds(std::size_t w, std::size_t workers,
+                     std::span<std::uint64_t> keys, RoundSync& sync,
+                     Time until);
 
-  /// Run shard s's window for the round whose minimum next-event time is
-  /// tmin: derive the window end from the key image and the lookahead
-  /// state, floor it just past tmin (arrivals from any source land
-  /// strictly after tmin, so events at <= tmin are always safe and the
-  /// global-min shard always advances), clamp it one ulp past `until`
-  /// (events at exactly `until` execute, Simulator::run parity), then
-  /// execute the kernel's events strictly before it.  Throws what the
+  /// Drain shard s's mailboxes into its kernel and return its next-event
+  /// time key.  Runs the model's message handler, so it throws what the
   /// model throws.
-  void run_window(std::size_t s, Time tmin, Time until);
-
-  /// Horizon epilogue: advance shard s's clock to `until` exactly as a
-  /// lone Simulator::run(until) would.  Every remaining event is beyond
-  /// the horizon, so no event executes and this cannot throw.
-  void finish(std::size_t s, Time until);
-
-  /// The per-shard next-event keys of the current round.  drain() fills
-  /// the caller's own entries; the process backend overwrites the whole
-  /// image with the hub's broadcast before the window step.
-  std::span<std::uint64_t> key_image() { return keys_; }
+  std::uint64_t drain(std::size_t s);
 
   /// The (src -> dst) mailbox, src != dst.
   ShardMailbox& mailbox(std::size_t src, std::size_t dst) {
@@ -266,13 +268,31 @@ class RoundsCore {
   /// counts never overlap).
   RoundsCounts block_counts(std::size_t begin, std::size_t end) const;
 
-  /// Telemetry, kept by the backend: rounds_ as rounds complete, counts_
-  /// when a run ends (block_counts over every shard on threads, the sum
-  /// of the workers' reports on processes).  reset() zeroes both.
+  /// Telemetry: rounds_ counted by worker 0's round loop (on processes
+  /// the worker reports it back), counts_ kept by the backend when a run
+  /// ends (block_counts over every shard on threads, the sum of the
+  /// workers' reports on processes).  reset() zeroes both.
   std::uint64_t rounds_ = 0;
   RoundsCounts counts_;
 
  private:
+  /// True when the rounds are over: every shard drained (kmin is the
+  /// empty sentinel) or the minimum next-event time is past the horizon.
+  static bool finished(std::uint64_t kmin, Time until) {
+    return kmin == kInfTimeKey || key_time(kmin) > until;
+  }
+
+  /// Run shard s's window for the round whose minimum next-event time is
+  /// tmin: derive the window end from the key image and the lookahead
+  /// state, floor it just past tmin (arrivals from any source land
+  /// strictly after tmin, so events at <= tmin are always safe and the
+  /// global-min shard always advances), clamp it one ulp past `until`
+  /// (events at exactly `until` execute, Simulator::run parity), then
+  /// execute the kernel's events strictly before it.  Throws what the
+  /// model throws.
+  void run_window(std::size_t s, std::span<const std::uint64_t> keys,
+                  Time tmin, Time until);
+
   /// Uniform window end for the round anchored at tmin: tmin + L(tmin),
   /// clamped at every epoch boundary b inside the window to b + L(b).
   Time window_end(Time tmin) const;
@@ -284,7 +304,6 @@ class RoundsCore {
   Time scalar_ = 0;
   std::vector<LookaheadEpoch> plan_;  ///< empty = uniform scalar
   std::vector<Time> matrix_;          ///< closed; empty = uniform scalar
-  std::vector<std::uint64_t> keys_;   ///< the key image, one per shard
 };
 
 }  // namespace emcast::sim

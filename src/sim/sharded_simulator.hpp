@@ -1,24 +1,19 @@
 #pragma once
-// The threaded rounds backend: the conservative-rounds protocol of
-// RoundsCore (sim/rounds_core.hpp — shards, mailboxes, lookahead state
-// and the per-round steps) driven by worker threads.  This class adds
-// only the threads, the atomic min-reduction and the spin barriers:
-//
-//   drain:    each worker drains its shard block, then contributes the
-//             block's minimum next-event key to a shared atomic
-//             min-reduction (over the order-preserving integer time image)
-//   barrier   -- all drains complete; the reduction and key image are final
-//   window:   every worker reads the same reduced minimum T and runs its
-//             shards' windows (RoundsCore::run_window)
-//   barrier   -- all windows complete; mailboxes quiescent again
+// The threaded rounds backend: the round loop of RoundsCore
+// (sim/rounds_core.hpp — shards, mailboxes, lookahead state and the loop
+// itself) run by worker threads.  This class adds only the threads and
+// the round loop's synchronisation: the key image and one spin barrier,
+// which is both the barrier and the exchange step (the mailboxes are
+// shared memory already), and the first model exception, rethrown by
+// run().
 //
 // Worker t owns the contiguous shard block RoundsCore::block_begin gives
 // it; results are identical for every thread count.
 
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <mutex>
+#include <vector>
 
 #include "sim/rounds_core.hpp"
 #include "util/barrier.hpp"
@@ -31,7 +26,7 @@ struct ShardedConfig : RoundsConfig {
   std::size_t threads = 0;
 };
 
-class ShardedSimulator : public RoundsCore {
+class ShardedSimulator : public RoundsCore, private RoundsCore::RoundSync {
  public:
   explicit ShardedSimulator(const ShardedConfig& config);
   ~ShardedSimulator();
@@ -46,19 +41,13 @@ class ShardedSimulator : public RoundsCore {
   std::uint64_t run(Time until = kTimeInfinity);
 
  private:
-  void worker_rounds(std::size_t t, Time until);
-  void record_error() noexcept;
+  void barrier() override { barrier_.arrive_and_wait(); }
+  void exchange() override { barrier_.arrive_and_wait(); }
+  void record_error() noexcept override;
 
   std::size_t threads_ = 1;
   util::SpinBarrier barrier_;
-
-  /// Double-buffered min-reduction over next-event time keys, indexed by
-  /// round parity: while round r reduces into slot r&1, every thread
-  /// resets slot (r+1)&1 — reads of a slot are separated from the next
-  /// writes by two barrier edges.  A worker that caught a model exception
-  /// votes kAbortTimeKey (below every real key) instead, so the abort
-  /// decision is read at the same aligned point as the window.
-  alignas(64) std::atomic<std::uint64_t> min_key_[2];
+  std::vector<std::uint64_t> keys_;  ///< the key image, one per shard
   std::mutex error_mutex_;
   std::exception_ptr first_error_;
 };

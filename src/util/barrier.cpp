@@ -25,7 +25,7 @@ constexpr int kSpinIterations = 4096;
 
 }  // namespace
 
-void SpinBarrier::arrive_and_wait() {
+void SpinBarrier::arrive_and_wait(const std::function<void()>& idle) {
   const std::uint64_t gen = generation_.load(std::memory_order_acquire);
   if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
     arrived_.store(0, std::memory_order_relaxed);
@@ -37,6 +37,7 @@ void SpinBarrier::arrive_and_wait() {
     if (++spins < kSpinIterations) {
       cpu_relax();
     } else {
+      if (idle) idle();
       std::this_thread::yield();
     }
   }

@@ -1,16 +1,15 @@
 #pragma once
-// Little-endian byte marshalling used at process boundaries: the wire
-// codec of the process-per-shard backend (sim/wire_codec.hpp) and the
-// result blobs the experiment harness ships from worker processes back to
-// the hub.  Deliberately tiny: an append-only writer over a caller-owned
-// vector and a bounds-checked reader that throws instead of reading past
-// the end — a truncated or corrupt buffer is a recoverable error at every
-// call site, never UB.
+// Little-endian byte marshalling used at process boundaries: the frames
+// worker processes of the process backend write (sim/transport.hpp) and
+// the result blobs the experiment harness ships from worker processes
+// back to the parent.  Deliberately tiny: an append-only writer over a
+// caller-owned vector and a bounds-checked reader that throws instead of
+// reading past the end — a truncated or corrupt buffer is a recoverable
+// error at every call site, never UB.
 //
 // Doubles travel as their IEEE-754 bit pattern (bit_cast through u64), so
 // a value decodes to the identical bits that were encoded — the property
-// the byte-identical differential suites need.  Cross-host use assumes
-// IEEE-754 doubles on both ends (everything this toolchain targets).
+// the byte-identical differential suites need.
 
 #include <bit>
 #include <cstdint>
@@ -50,7 +49,7 @@ class ByteWriter {
     // Little-endian hosts only (everything we target); memcpy keeps the
     // store well-defined for any alignment.
     static_assert(std::endian::native == std::endian::little,
-                  "wire format is little-endian");
+                  "byte format is little-endian");
     const auto* p = static_cast<const std::uint8_t*>(data);
     out_.insert(out_.end(), p, p + n);
   }
@@ -60,7 +59,7 @@ class ByteWriter {
 
 /// Bounds-checked little-endian reader.  Every accessor throws
 /// ByteRangeError on overrun; decode layers turn that into a frame
-/// rejection (see sim/wire_codec.hpp).
+/// rejection (see sim/transport.hpp).
 class ByteReader {
  public:
   ByteReader(const std::uint8_t* data, std::size_t size)
@@ -89,7 +88,7 @@ class ByteReader {
   template <typename T>
   T take() {
     static_assert(std::endian::native == std::endian::little,
-                  "wire format is little-endian");
+                  "byte format is little-endian");
     check(sizeof(T));
     T v;
     std::memcpy(&v, data_ + pos_, sizeof(T));

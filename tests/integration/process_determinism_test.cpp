@@ -1,8 +1,8 @@
 // Cross-engine conformance suite for the process-per-shard backend: the
 // full regulated multigroup model run on EngineKind::Process must produce
 // canonical delivery traces BYTE-identical to Single and Sharded — for
-// every worker-process count, every regulation scheme, churn on and off,
-// and both transports — plus identical merged summaries (mean and worst
+// every worker-process count, every regulation scheme, churn on and off
+// and warm reuse — plus identical merged summaries (mean and worst
 // case, quantile sketch, k-min sample, mode switches, churn counters)
 // carried back through the per-shard result blobs.
 //
@@ -47,13 +47,11 @@ MultiGroupSimResult run_sharded(MultiGroupSimConfig c, std::size_t shards) {
   return run_multigroup(c);
 }
 
-MultiGroupSimResult run_process(
-    MultiGroupSimConfig c, std::size_t shards, std::size_t processes,
-    sim::TransportKind transport = sim::TransportKind::Shm) {
+MultiGroupSimResult run_process(MultiGroupSimConfig c, std::size_t shards,
+                                std::size_t processes) {
   c.engine = sim::EngineKind::Process;
   c.shards = shards;
   c.processes = processes;
-  c.transport = transport;
   c.process_timeout_seconds = 60.0;
   return run_multigroup(c);
 }
@@ -124,18 +122,6 @@ TEST(ProcessSimConformance, AllRegulationSchemesMatch) {
     const auto proc = run_process(cfg, 4, 2);
     expect_conformant(proc, ref, to_string(reg));
   }
-}
-
-TEST(ProcessSimConformance, SocketTransportMatchesShm) {
-  const auto cfg = base_config(TrafficKind::Audio, RegulationScheme::SigmaRho);
-  const auto ref = run_reference(cfg);
-  const auto shm = run_process(cfg, 4, 2, sim::TransportKind::Shm);
-  const auto sock = run_process(cfg, 4, 2, sim::TransportKind::Socket);
-  expect_conformant(shm, ref, "shm transport");
-  expect_conformant(sock, ref, "socket transport");
-  EXPECT_EQ(sock.mean_delay, shm.mean_delay)
-      << "transport choice leaked into the results";
-  EXPECT_EQ(sock.rounds, shm.rounds);
 }
 
 TEST(ProcessSimConformance, ChurnDifferentialMatches) {
@@ -231,9 +217,9 @@ TEST(ProcessSimConformance, WarmSlotRebuildsOnProcessKnobChanges) {
   sim::Engine* const first = warm.get();
   run_multigroup(cfg, warm);
   EXPECT_EQ(warm.get(), first) << "same config must reuse";
-  cfg.transport = sim::TransportKind::Socket;
+  cfg.process_timeout_seconds = 45.0;
   run_multigroup(cfg, warm);
-  EXPECT_NE(warm.get(), first) << "transport change must rebuild";
+  EXPECT_NE(warm.get(), first) << "timeout change must rebuild";
   sim::Engine* const second = warm.get();
   cfg.processes = 1;
   run_multigroup(cfg, warm);

@@ -3,6 +3,7 @@
 // a party's arrive are visible to every party after the release).
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -74,6 +75,31 @@ TEST(SpinBarrier, PlainWritesAreVisibleAcrossTheBarrier) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(SpinBarrier, IdleStepRunsWhileALatePartyIsAway) {
+  // The process backend's workers move ring bytes in the idle step, so a
+  // party waiting long enough to yield must run it; the party that
+  // releases the generation never waits and never runs its own.
+  SpinBarrier barrier(2);
+  std::atomic<int> early_idles{0};
+  int late_idles = 0;
+  std::thread late([&] {
+    // Arrive once the early party has idled (or after 5 s, so that a
+    // missing idle step fails below instead of hanging).
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (early_idles.load() == 0 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    barrier.arrive_and_wait([&] { ++late_idles; });
+  });
+  barrier.arrive_and_wait([&] { ++early_idles; });
+  late.join();
+  EXPECT_GT(early_idles.load(), 0);
+  EXPECT_EQ(late_idles, 0);
+  EXPECT_EQ(barrier.generation(), 1u);
 }
 
 }  // namespace
