@@ -12,6 +12,9 @@
 //     sorting and rebucketing;
 //   - far-horizon: 90% near-term, 10% up to 10^4x further out — stresses
 //     the overflow year and year-advance rebuilds.
+// A fifth, steady-across-binades, keeps the population and the event rate
+// fixed while t crosses 2, 4 and 8 s, where double keys halve their
+// spacing: it stresses the day width's tracking of the dequeue rate.
 
 #include <benchmark/benchmark.h>
 
@@ -76,7 +79,7 @@ void push_pop_all(benchmark::State& state, const std::vector<double>& times) {
   for (auto _ : state) {
     sim::EventQueue q;
     for (double t : times) q.push(t, [] {});
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop().time);
+    while (!q.empty()) benchmark::DoNotOptimize(q.fire_next());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(times.size()));
@@ -102,6 +105,36 @@ void BM_EventQueueFarHorizon(benchmark::State& state) {
                far_horizon_times(static_cast<std::size_t>(state.range(0))));
 }
 BENCHMARK(BM_EventQueueFarHorizon)->Arg(16384);
+
+// Steady event rate from t = 1 s to t = 16 s: 4096 sources, each re-arming
+// after a uniform hold of mean 50 ms (about 1.2M events per iteration).
+struct SteadySource {
+  sim::EventQueue* q;
+  util::Rng* rng;
+  Time t;
+  void operator()() const {
+    const Time next = t + rng->uniform(0.0, 0.1);
+    if (next < 16.0) q->push(next, SteadySource{q, rng, next});
+  }
+};
+
+void BM_EventQueueSteadyAcrossBinades(benchmark::State& state) {
+  std::int64_t events = 0;
+  for (auto _ : state) {
+    sim::EventQueue q;
+    util::Rng rng(5);
+    for (int i = 0; i < 4096; ++i) {
+      const Time t = 1.0 + rng.uniform(0.0, 0.1);
+      q.push(t, SteadySource{&q, &rng, t});
+    }
+    while (!q.empty()) {
+      q.fire_next();
+      ++events;
+    }
+  }
+  state.SetItemsProcessed(events);
+}
+BENCHMARK(BM_EventQueueSteadyAcrossBinades)->Unit(benchmark::kMillisecond);
 
 // Self-rescheduling functor: the idiomatic shape for recurring events on
 // the allocation-free engine (a recursive std::function would wrap a heap

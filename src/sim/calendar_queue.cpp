@@ -4,31 +4,53 @@
 
 namespace emcast::sim {
 
+void CalendarPendingSet::reserve_nodes(std::size_t n) {
+  // Scratch first: if the pool's reserve then throws, the set is intact
+  // and merely holds spare staging.
+  scratch_.reserve(n);
+  pool_.reserve(n);
+}
+
 void CalendarPendingSet::sort_bucket(std::size_t b) {
   const std::uint32_t head = heads_[b] & kIndexMask;
-  if (pool_[head].next == kNil) {  // single node: trivially sorted
-    heads_[b] = head | kSortedBit;
-    return;
+  // Gather the chain's payloads onto the stack while it is short (nearly
+  // always: a day is a fraction of the dequeue gap), else into scratch_,
+  // whose capacity tracks the pool's (reserve_nodes), so sorting never
+  // allocates.  The sorted payloads go back along the same chain.
+  PendingEntry stack[kStackSortMax];
+  std::size_t k = 0;
+  std::uint32_t idx = head;
+  for (; idx != kNil && k < kStackSortMax; idx = pool_[idx].next) {
+    stack[k++] = pool_[idx].entry;
   }
-  // Permute the payloads through scratch storage; the chain's node set is
-  // reused, so sorting allocates nothing once the buffers are warm.
-  scratch_.clear();
-  idx_scratch_.clear();
-  for (std::uint32_t idx = head; idx != kNil; idx = pool_[idx].next) {
-    idx_scratch_.push_back(idx);
-    scratch_.push_back(pool_[idx].entry);
+  const PendingEntry* sorted = stack;
+  if (idx == kNil) {
+    for (std::size_t i = 1; i < k; ++i) {
+      const PendingEntry x = stack[i];
+      std::size_t j = i;
+      for (; j != 0 && entry_before(x, stack[j - 1]); --j) {
+        stack[j] = stack[j - 1];
+      }
+      stack[j] = x;
+    }
+  } else {
+    scratch_.assign(stack, stack + k);
+    for (; idx != kNil; idx = pool_[idx].next) {
+      scratch_.push_back(pool_[idx].entry);
+    }
+    std::sort(scratch_.begin(), scratch_.end(),
+              [](const PendingEntry& a, const PendingEntry& b2) {
+                return entry_before(a, b2);
+              });
+    sorted = scratch_.data();
+    k = scratch_.size();
   }
-  std::sort(scratch_.begin(), scratch_.end(),
-            [](const PendingEntry& a, const PendingEntry& b2) {
-              return entry_before(a, b2);
-            });
-  const std::size_t k = idx_scratch_.size();
-  for (std::size_t i = 0; i < k; ++i) {
-    Node& n = pool_[idx_scratch_[i]];
-    n.entry = scratch_[i];
-    n.next = i + 1 < k ? idx_scratch_[i + 1] : kNil;
+  ++sorts_;
+  sorted_entries_ += k;
+  for (idx = head; idx != kNil; idx = pool_[idx].next) {
+    pool_[idx].entry = *sorted++;
   }
-  heads_[b] = idx_scratch_[0] | kSortedBit;
+  heads_[b] = head | kSortedBit;
 }
 
 void CalendarPendingSet::clear() noexcept {
@@ -46,11 +68,19 @@ void CalendarPendingSet::clear() noexcept {
   in_buckets_ = 0;
   hint_ = 0;
   size_ = 0;
+  grow_at_ = 0;
   cursor_ = kNoCursor;
+  pops_ = 0;
+  gap_pops_ = 0;
+  gap_key_ = 0;
+  gap_started_ = false;
   small_mode_ = true;
   mode_switches_ = 0;
   rebuilds_ = 0;
   year_advances_ = 0;
+  sorts_ = 0;
+  sorted_entries_ = 0;
+  overflow_pushes_ = 0;
 }
 
 void CalendarPendingSet::collapse_to_small() {
@@ -85,31 +115,81 @@ void CalendarPendingSet::collapse_to_small() {
   hint_ = 0;
 }
 
-void CalendarPendingSet::advance_year() {
-  // Reached with every bucket empty (heads all kNil, bitmap zero) and the
-  // whole population in the overflow heap: re-aim the year at the overflow
-  // minimum — keeping the bucket count and day width, which track the
-  // population size and spacing, not its position — and admit the new
-  // year's events.  No clearing, no scratch, no allocation: the node pool
-  // is reserved for the full population at every rebuild.
-  ++year_advances_;
-  assert(!overflow_.empty() && in_buckets_ == 0);
-  year_base_ = overflow_.min().time_key &
-               ~((std::uint64_t{1} << day_shift_) - 1);
+bool CalendarPendingSet::take_gap_shift(std::uint32_t& shift) {
+  const std::uint64_t now = front_.time_key;
+  const std::uint64_t pops = pops_ - gap_pops_;
+  // A front below the measurement's start means pushes below earlier
+  // pops: the measurement restarts here.
+  const bool measured = gap_started_ && now >= gap_key_;
+  if (measured && pops < kMinGapPops) return false;  // keep measuring
+  if (measured) {
+    const auto bits =
+        static_cast<std::uint32_t>(std::bit_width((now - gap_key_) / pops));
+    shift = bits > 2 ? bits - 2 : 0;  // 2^(floor(log2 gap) - 1)
+  }
+  gap_started_ = true;
+  gap_key_ = now;
+  gap_pops_ = pops_;
+  return measured;
+}
+
+CalendarPendingSet::Geometry CalendarPendingSet::geometry_for(
+    std::size_t n, std::uint32_t shift) {
+  const std::size_t want =
+      std::bit_ceil(std::max<std::size_t>(n, 1) * kBucketsPerEntry);
+  Geometry g{std::clamp(want, kMinBuckets, kMaxBuckets), shift};
+  if (want > g.buckets) {
+    // Capped bucket count: widen the days by the same factor, so the year
+    // keeps its span.
+    g.shift += static_cast<std::uint32_t>(std::countr_zero(want / g.buckets));
+  }
+  g.shift = std::min(g.shift, kMaxDayShift);
+  return g;
+}
+
+void CalendarPendingSet::aim_year(std::uint64_t anchor, std::uint64_t first) {
+  const std::uint64_t day_mask = (std::uint64_t{1} << day_shift_) - 1;
   const std::uint64_t span = static_cast<std::uint64_t>(heads_.size())
                              << day_shift_;
+  year_base_ = anchor & ~day_mask;
+  // An idle stretch longer than a year: start at the structure minimum,
+  // so the year admits at least one entry.
+  if (first - year_base_ >= span) year_base_ = first & ~day_mask;
   year_end_ = year_base_ > ~std::uint64_t{0} - span ? ~std::uint64_t{0}
                                                     : year_base_ + span;
-  std::size_t transferred = 0;
+  hint_ = 0;
+}
+
+void CalendarPendingSet::advance_year() {
+  // Reached with every bucket empty (heads all kNil, bitmap zero) and the
+  // whole structured population in the overflow heap, while pop_min
+  // still holds the entry being popped in the front register.  Re-derive
+  // the geometry from the pops of the year just ended, re-aim the year at
+  // the front key — the engine's clock, below every key its events will
+  // push — and admit the new year's events.
+  ++year_advances_;
+  assert(!overflow_.empty() && in_buckets_ == 0);
+  Geometry g{heads_.size(), day_shift_};
+  std::uint32_t shift = 0;
+  const bool measured = take_gap_shift(shift);
+  if (measured) g = geometry_for(size_, shift);
+  const std::size_t words = (g.buckets + 63) / 64;
+  // All allocation first (none on a warmed set): the transfer below then
+  // links without allocating, and a throw leaves the old year intact.
+  reserve_nodes(size_);
+  heads_.reserve(g.buckets);
+  occupied_.reserve(words);
+  if (g.buckets != heads_.size() || g.shift != day_shift_) {
+    // Every bucket is empty, so a new geometry is just a resize.
+    heads_.resize(g.buckets, kNil);
+    occupied_.resize(words, 0);
+    day_shift_ = g.shift;
+    ++rebuilds_;
+  }
+  if (measured) grow_at_ = 4 * std::max(size_, kSmallModeMax);
+  aim_year(front_.time_key, overflow_.min().time_key);
   while (!overflow_.empty() && overflow_.min().time_key < year_end_) {
     link_entry(overflow_.pop_min());  // already counted in size_
-    ++transferred;
-  }
-  if (overflow_.size() > 4 * transferred) {
-    // The year admitted only a sliver: the day width — derived from a
-    // population that has since drained — no longer matches the remaining
-    // events' spacing.  Re-derive the geometry from what is actually left.
-    rebuild(nullptr);
   }
 }
 
@@ -119,9 +199,17 @@ void CalendarPendingSet::rebuild(const PendingEntry* extra) {
   // headroom under the new minimum, so a descending key sequence re-bases
   // once per quarter-year of descent instead of on every new minimum.
   const bool underflow =
-      extra != nullptr && !heads_.empty() && extra->time_key < year_base_;
+      extra != nullptr && !small_mode_ && extra->time_key < year_base_;
+  const std::size_t n =
+      in_buckets_ + overflow_.size() + (extra != nullptr ? 1 : 0);
+  // ---- reserve everything the gather and redistribution touch: the old
+  // structure is intact if anything here throws.  The arenas track the
+  // population, not the bucket count; growth past them between rebuilds
+  // goes through alloc_node's geometric reserve.
+  reserve_nodes(n);
+  overflow_.reserve(n);
+
   // ---- gather: walk every chain and the overflow heap into scratch.
-  // Allocations may throw here; nothing has been torn down yet.
   scratch_.clear();
   if (in_buckets_ != 0) {
     for (std::size_t w = 0; w < occupied_.size(); ++w) {
@@ -139,68 +227,41 @@ void CalendarPendingSet::rebuild(const PendingEntry* extra) {
   }
   scratch_.insert(scratch_.end(), overflow_.begin(), overflow_.end());
   if (extra != nullptr) scratch_.push_back(*extra);
-  const std::size_t n = scratch_.size();
+  assert(scratch_.size() == n && n != 0);
 
-  // ---- derive the geometry: bucket count tracks the population, day
-  // width tracks the mean key gap of the denser lower half, so bursts get
-  // fine days and far-future stragglers ride the overflow heap.
-  std::size_t nbuckets = kMinBuckets;
-  while (nbuckets < n && nbuckets < kMaxBuckets) nbuckets <<= 1;
+  // ---- derive the geometry: from the dequeue gap once one is measured,
+  // else from the population's spread.
+  std::uint64_t kmin = scratch_[0].time_key;
+  for (const PendingEntry& e : scratch_) kmin = std::min(kmin, e.time_key);
   std::uint32_t shift = 0;
-  std::uint64_t kmin = 0;
-  if (n != 0) {
-    kmin = scratch_[0].time_key;
-    std::uint64_t kmax = kmin;
-    for (const PendingEntry& e : scratch_) {
-      kmin = std::min(kmin, e.time_key);
-      kmax = std::max(kmax, e.time_key);
-    }
-    if (n >= 2 && kmax != kmin) {
-      // Mean key gap over the trimmed (90th-percentile) span: far-future
-      // outliers must not stretch the day width — they ride the overflow
-      // heap instead — but the bulk population should fit the year, so
-      // drains stream through the buckets rather than cycling events
-      // through the overflow heap.  Ceil-log2: rounding the width down
-      // would halve the year's coverage.
-      const std::size_t trim = n - 1 - n / 10;
-      const auto p90 = scratch_.begin() + static_cast<std::ptrdiff_t>(trim);
-      std::nth_element(scratch_.begin(), p90, scratch_.end(),
-                       [](const PendingEntry& a, const PendingEntry& b) {
-                         return a.time_key < b.time_key;
-                       });
-      const std::uint64_t width = std::max<std::uint64_t>(
-          1, (p90->time_key - kmin) / static_cast<std::uint64_t>(trim));
-      shift = width <= 1
-                  ? 0
-                  : static_cast<std::uint32_t>(std::bit_width(width - 1));
-      if (shift > kMaxDayShift) shift = kMaxDayShift;
-    }
+  Geometry g{};
+  if (take_gap_shift(shift)) {
+    g = geometry_for(n, shift);
+  } else {
+    // The year spans the 90th-percentile key range from its anchor, the
+    // front key (twice that after an underflow, whose headroom takes a
+    // quarter-year below the anchor): far-future outliers must not
+    // stretch it — they ride the overflow heap instead — but the bulk
+    // population should fit, so drains stream through the buckets.
+    g = geometry_for(n, 0);
+    const std::size_t trim = n - 1 - n / 10;
+    const auto p90 = scratch_.begin() + static_cast<std::ptrdiff_t>(trim);
+    std::nth_element(scratch_.begin(), p90, scratch_.end(),
+                     [](const PendingEntry& a, const PendingEntry& b) {
+                       return a.time_key < b.time_key;
+                     });
+    const std::uint64_t width = (p90->time_key - front_.time_key) /
+                                static_cast<std::uint64_t>(g.buckets);
+    g.shift = std::min(static_cast<std::uint32_t>(std::bit_width(width)) +
+                           (underflow ? 1u : 0u),
+                       kMaxDayShift);
   }
-  // The base comes from the STRUCTURE minimum, never the front register:
-  // it pins the structure minimum into bucket 0, which guarantees a
-  // rebuild with n >= 1 leaves at least one in-year entry — the
-  // termination guarantee for locate_min's advance loop.  Keys landing in
-  // the (front, base) gap re-base through the underflow slack above.
-
-  // ---- reserve everything the redistribution will touch (still throwing
-  // territory; the old structure is intact if anything below throws).
-  // Until the next grow rebuild the population is bounded by twice the
-  // bucket count, and how it splits between chains and overflow depends on
-  // the keys — so every arena is reserved to that count-driven bound.
-  // This keeps the whole set allocation-free between rebuilds and makes
-  // steady-state capacities a function of operation counts alone.
-  const std::size_t staging =
-      std::max(n, nbuckets < kMaxBuckets ? 2 * nbuckets : n);
-  pool_.reserve(staging);
-  scratch_.reserve(staging);
-  idx_scratch_.reserve(staging);
-  const std::size_t words = (nbuckets + 63) / 64;
-  if (heads_.size() < nbuckets) heads_.resize(nbuckets);
-  if (occupied_.size() < words) occupied_.resize(words);
-  overflow_.reserve(staging);
+  const std::size_t words = (g.buckets + 63) / 64;
+  heads_.reserve(g.buckets);
+  occupied_.reserve(words);
 
   // ---- commit: nothrow from here on.
-  heads_.resize(nbuckets);
+  heads_.resize(g.buckets);
   occupied_.resize(words);
   std::fill(heads_.begin(), heads_.end(), kNil);
   std::fill(occupied_.begin(), occupied_.end(), 0);
@@ -208,17 +269,17 @@ void CalendarPendingSet::rebuild(const PendingEntry* extra) {
   free_head_ = kNil;
   overflow_.clear();
   in_buckets_ = 0;
-  hint_ = 0;
-  day_shift_ = shift;
-  year_base_ = n != 0 ? kmin & ~((std::uint64_t{1} << shift) - 1) : 0;
+  day_shift_ = g.shift;
+  grow_at_ = 4 * std::max(n, kSmallModeMax);
+  // The year is aimed at the front register's key (every structured key
+  // is at or above it), with the underflow headroom below it.
+  std::uint64_t anchor = front_.time_key;
   if (underflow) {
-    const std::uint64_t slack = (static_cast<std::uint64_t>(nbuckets) / 4)
-                                << shift;
-    year_base_ = year_base_ > slack ? year_base_ - slack : 0;
+    const std::uint64_t slack = (static_cast<std::uint64_t>(g.buckets) / 4)
+                                << g.shift;
+    anchor = anchor > slack ? anchor - slack : 0;
   }
-  const std::uint64_t span = static_cast<std::uint64_t>(nbuckets) << shift;
-  year_end_ = year_base_ > ~std::uint64_t{0} - span ? ~std::uint64_t{0}
-                                                    : year_base_ + span;
+  aim_year(anchor, kmin);
   // size_ is untouched: rebuild restructures, the callers account.
   for (const PendingEntry& e : scratch_) {
     if (e.time_key >= year_end_) {

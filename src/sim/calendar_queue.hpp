@@ -19,18 +19,35 @@
 //
 // Lazy intra-bucket sorting.  push() prepends in O(1); a bucket is sorted
 // (ascending, head = earliest) only when a pop first reaches it, by
-// permuting the chain's payloads through a scratch buffer.  A push that
-// becomes the new bucket minimum keeps the sorted flag; any other push
-// into a sorted bucket just clears it.
+// permuting the chain's payloads in chain order: chains of up to
+// kStackSortMax entries — nearly all of them, with days sized as below —
+// through an insertion sort in a stack array, longer ones through a
+// scratch vector.  A push that becomes the new bucket minimum keeps the
+// sorted flag; any other push into a sorted bucket just clears it.
 //
-// Resize / re-aim.  The bucket count tracks the live population
-// (grow at load factor 2, shrink at 1/8) and the day width tracks the
-// event spacing: at every rebuild the width is the mean key gap over the
-// trimmed 90th-percentile span (an nth_element, O(n)), so the bulk of
-// the population fits the year while the far-future tail beyond p90
-// rides the overflow heap.  A push below year_base re-bases the year
-// (full rebuild with a quarter-year of downward slack); a push into an
-// empty queue just re-aims the existing year at the new key in O(1).
+// Resize / re-aim.  The day width follows the dequeue rate (Brown,
+// CACM 31(10), 1988): at every year advance the mean gap between the keys
+// popped since the last measurement gives a width of a quarter to a half
+// of that gap, 2^(floor(log2 gap) - 1), so the front bucket holds well
+// under one entry when a pop reaches it.  Keys are double bit images, so
+// the same event rate halves the key gap at every power of two of t; the
+// width follows within a year.  The bucket count is kBucketsPerEntry per
+// pending entry, so the year spans four to eight mean hold times (by
+// Little's law a population of n entries dequeued every `gap` key units
+// holds each for n x gap) and few pushes land beyond it; where the count
+// is capped at kMaxBuckets, the days widen instead, by the same factor.
+// Both are re-derived at each year advance, where every bucket is empty,
+// so a new geometry costs only a resize of the bucket arrays.  The year
+// is aimed at the key being popped, so the pushes its event makes never
+// land below the year.  Entries at or beyond the year's end wait in the
+// overflow heap.  A full rebuild (gather, re-derive, redistribute) runs
+// only on promotion out of small mode, when the population has grown
+// fourfold since the geometry was derived (its days would then hold four
+// times the entries they were sized for), and when a push lands below the
+// year; until the first measurement it sizes
+// the days so the year spans the population's 90th-percentile key range
+// (an nth_element, O(n)).  A push into an empty structure just re-aims
+// the existing year at the new key in O(1).
 //
 // Determinism.  Pop order is exactly (time_key, seq) regardless of bucket
 // geometry: equal keys share a bucket, earlier days live in earlier
@@ -78,11 +95,10 @@ class CalendarPendingSet {
 
   /// Drop every entry but keep all arenas warm (node pool, bucket heads,
   /// bitmap, overflow buffer, scratch): the warm-reuse path of the engine.
-  /// The set returns to its fresh logical state — small mode, no year —
-  /// so the day width is re-derived lazily by the next promotion rebuild,
-  /// from the *new* run's population, not the old one's.  Telemetry
-  /// counters (rebuilds, year advances, mode switches) restart at zero.
-  /// Never allocates.
+  /// The set returns to its fresh logical state — small mode, no year, no
+  /// dequeue-gap measurement — so the geometry is re-derived from the
+  /// *new* run's population and pops, not the old one's.  Telemetry
+  /// counters restart at zero.  Never allocates.
   void clear() noexcept;
 
   /// Remove every entry for which `dead` holds.  Unlinking preserves the
@@ -90,12 +106,19 @@ class CalendarPendingSet {
   template <typename Pred>
   void remove_if(Pred dead);
 
-  // -- introspection (tests, zero-allocation proofs) ----------------------
+  // -- introspection (tests, telemetry, zero-allocation proofs) -----------
   std::size_t bucket_count() const { return heads_.size(); }
   std::size_t in_bucket_count() const { return in_buckets_; }
   std::size_t overflow_count() const { return overflow_.size(); }
+  /// Geometry changes: full rebuilds plus re-sized years at advances.
   std::uint64_t rebuild_count() const { return rebuilds_; }
   std::uint64_t year_advance_count() const { return year_advances_; }
+  /// Bucket sorts of two or more entries, and the entries they sorted.
+  std::uint64_t sort_count() const { return sorts_; }
+  std::uint64_t sorted_entries() const { return sorted_entries_; }
+  /// Calendar-mode pushes that landed beyond the year, in the overflow
+  /// heap (small-mode pushes, which all go there, are not counted).
+  std::uint64_t overflow_pushes() const { return overflow_pushes_; }
   bool small_mode() const { return small_mode_; }
   std::uint64_t mode_switches() const { return mode_switches_; }
   std::uint32_t day_shift() const { return day_shift_; }
@@ -111,6 +134,13 @@ class CalendarPendingSet {
   static constexpr std::uint32_t kIndexMask = kSortedBit - 1;
   static constexpr std::size_t kMinBuckets = 16;
   static constexpr std::size_t kMaxBuckets = std::size_t{1} << 16;
+  /// Days per pending entry (see "Resize / re-aim" above).
+  static constexpr std::size_t kBucketsPerEntry = 16;
+  /// Longest chain sorted in a stack array rather than the scratch vector.
+  static constexpr std::size_t kStackSortMax = 16;
+  /// Pops a dequeue-gap measurement needs before it may set the width;
+  /// until then it keeps accumulating across year advances.
+  static constexpr std::uint64_t kMinGapPops = 32;
   /// Small-mode hysteresis: heap-only below, calendar above (see header
   /// comment).  The upper bound sits at the measured heap/calendar
   /// crossover; the 4x gap makes threshold churn cost O(n) only once per
@@ -128,6 +158,11 @@ class CalendarPendingSet {
     std::uint32_t next;
   };
 
+  struct Geometry {
+    std::size_t buckets;
+    std::uint32_t shift;
+  };
+
   std::size_t bucket_of(std::uint64_t key) const {
     std::size_t b = static_cast<std::size_t>((key - year_base_) >> day_shift_);
     // Only reachable when year_end_ saturated at 2^64-1: the last bucket
@@ -143,6 +178,9 @@ class CalendarPendingSet {
       free_head_ = pool_[idx].next;
       return idx;
     }
+    if (pool_.size() == pool_.capacity()) [[unlikely]] {
+      reserve_nodes(2 * pool_.size() + kMinBuckets);
+    }
     pool_.push_back(Node{});  // before any linking: strong guarantee
     return static_cast<std::uint32_t>(pool_.size() - 1);
   }
@@ -152,6 +190,9 @@ class CalendarPendingSet {
     free_head_ = idx;
   }
 
+  /// Grow the node pool and the sort scratch together, so a chain — never
+  /// longer than the pool — always sorts without allocating.
+  void reserve_nodes(std::size_t n);
   void link_entry(PendingEntry e);  ///< chain insert, no size_ change
   void insert_structure(PendingEntry e);  ///< bucket/overflow insert
   PendingEntry structure_pop();  ///< earliest bucket/overflow entry
@@ -159,8 +200,16 @@ class CalendarPendingSet {
   std::size_t find_first_occupied() const;
   std::size_t locate_min();
   void sort_bucket(std::size_t b);
-  void maybe_shrink();
+  void maybe_collapse();
   void advance_year();
+  /// Consume the dequeue-gap measurement: on success `shift` is the day
+  /// shift it gives and a new measurement starts at the front key.
+  bool take_gap_shift(std::uint32_t& shift);
+  /// Bucket count and day shift for `n` entries at gap-derived `shift`.
+  static Geometry geometry_for(std::size_t n, std::uint32_t shift);
+  /// Aim the year at `anchor`'s day, or at the structure minimum `first`
+  /// when a whole year separates the two.
+  void aim_year(std::uint64_t anchor, std::uint64_t first);
   /// Collect everything (plus `extra`, if any), re-derive the bucket count
   /// and day width, and redistribute.  Strong exception guarantee: all
   /// allocation happens before anything is torn down.
@@ -171,8 +220,7 @@ class CalendarPendingSet {
   std::vector<std::uint32_t> heads_;     ///< node index | kSortedBit, or kNil
   std::vector<std::uint64_t> occupied_;  ///< one bit per bucket
   PendingHeap overflow_;                 ///< keys >= year_end_
-  std::vector<PendingEntry> scratch_;    ///< rebuild / sort staging
-  std::vector<std::uint32_t> idx_scratch_;
+  std::vector<PendingEntry> scratch_;    ///< rebuild / long-sort staging
 
   std::uint64_t year_base_ = 0;
   std::uint64_t year_end_ = 0;
@@ -180,6 +228,10 @@ class CalendarPendingSet {
   std::size_t in_buckets_ = 0;  ///< entries currently in bucket chains
   std::size_t hint_ = 0;        ///< <= index of the first non-empty bucket
   std::size_t size_ = 0;        ///< total entries (front + buckets + overflow)
+  /// A population past this re-derives the geometry at once (fourfold
+  /// growth since the last derivation), without waiting for the year to
+  /// end.
+  std::size_t grow_at_ = 0;
   /// The global minimum, held outside the buckets (valid iff size_ > 0).
   /// min() is then a register read, and the push/pop/push cycle of a
   /// single self-rescheduling event never touches the buckets at all.
@@ -190,6 +242,12 @@ class CalendarPendingSet {
   /// a next_time()/pop() pair pays for one bucket search, not three.
   static constexpr std::size_t kNoCursor = ~std::size_t{0};
   std::size_t cursor_ = kNoCursor;
+  /// Dequeue-gap measurement: pops since clear(), and the pop count and
+  /// front key where the current measurement started.
+  std::uint64_t pops_ = 0;
+  std::uint64_t gap_pops_ = 0;
+  std::uint64_t gap_key_ = 0;
+  bool gap_started_ = false;
   /// Population-adaptive mode (see header comment): structured entries
   /// live in the overflow heap alone until the population earns the
   /// bucket bookkeeping.
@@ -197,6 +255,9 @@ class CalendarPendingSet {
   std::uint64_t mode_switches_ = 0;
   std::uint64_t rebuilds_ = 0;
   std::uint64_t year_advances_ = 0;
+  std::uint64_t sorts_ = 0;
+  std::uint64_t sorted_entries_ = 0;
+  std::uint64_t overflow_pushes_ = 0;
 };
 
 // ---- hot path, kept inline so the event loop sees through the calls ----
@@ -249,19 +310,15 @@ inline void CalendarPendingSet::insert_structure(PendingEntry e) {
       // The population outgrew the heap's cache residency: promote to
       // the calendar layout (rebuild gathers the heap + e and derives
       // the year geometry from the full population).
+      rebuild(&e);
       small_mode_ = false;
       ++mode_switches_;
-      rebuild(&e);
       return;
     }
     overflow_.push(e);
     return;
   }
   if (in_buckets_ == 0 && overflow_.empty()) [[unlikely]] {
-    if (heads_.empty()) {
-      rebuild(&e);  // first ever structured entry: allocate the arrays
-      return;
-    }
     // Empty structure: re-aim the existing year, O(1).  The base is the
     // front register's key — the true global minimum — so keys landing
     // between the front and `e` cannot masquerade as underflows.
@@ -274,13 +331,12 @@ inline void CalendarPendingSet::insert_structure(PendingEntry e) {
     // Fall through to the year_end_ split below: a far key must still go
     // to the overflow heap, or it would pop (from the clamped last
     // bucket) ahead of nearer keys overflowed later.
-  } else if ((size_ + 1 > 2 * heads_.size() &&
-              heads_.size() < kMaxBuckets) ||
-             e.time_key < year_base_) [[unlikely]] {
-    rebuild(&e);  // grow, or re-base the year below a record-minimum key
+  } else if (size_ + 1 > grow_at_ || e.time_key < year_base_) [[unlikely]] {
+    rebuild(&e);  // population grew fourfold, or a key below the year
     return;
   }
   if (e.time_key >= year_end_) {
+    ++overflow_pushes_;
     overflow_.push(e);
     return;
   }
@@ -333,21 +389,17 @@ inline PendingEntry CalendarPendingSet::structure_pop() {
 inline PendingEntry CalendarPendingSet::pop_min() {
   assert(size_ != 0 && "pop_min on empty calendar queue");
   const PendingEntry e = front_;
-  if (--size_ != 0) {
-    front_ = structure_pop();
-    maybe_shrink();
-  }
+  ++pops_;
+  // The structure pops before size_ drops: if a year advance throws, the
+  // set still holds e in the front register and counts it.
+  if (size_ != 1) front_ = structure_pop();
+  if (--size_ != 0) maybe_collapse();
   return e;
 }
 
-inline void CalendarPendingSet::maybe_shrink() {
-  if (small_mode_) return;
-  if (size_ < kSmallModeMin) [[unlikely]] {
+inline void CalendarPendingSet::maybe_collapse() {
+  if (!small_mode_ && size_ < kSmallModeMin) [[unlikely]] {
     collapse_to_small();
-    return;
-  }
-  if (heads_.size() > kMinBuckets && size_ < heads_.size() / 8) [[unlikely]] {
-    rebuild(nullptr);
   }
 }
 
@@ -394,9 +446,10 @@ void CalendarPendingSet::remove_if(Pred dead) {
   // Settle the front register last, when the structure holds only
   // survivors: a dead front is replaced by the new structured minimum.
   if (size_ != 0 && dead(front_)) {
-    if (--size_ != 0) front_ = structure_pop();
+    if (size_ != 1) front_ = structure_pop();
+    --size_;
   }
-  maybe_shrink();
+  maybe_collapse();
 }
 
 }  // namespace emcast::sim

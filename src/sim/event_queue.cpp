@@ -58,10 +58,8 @@ void EventQueue::cancel_handle(const EventHandle& h) {
     return;  // already fired/cancelled (or the slot was recycled)
   }
   const std::uint32_t slot = h.slot_;
-  const std::uint32_t index = slot & kPoolMask;
-  // Invalidate the occupant word BEFORE touching the capture: relocating
-  // a non-trivial capture runs its move constructor and the moved-from
-  // destructor, and that user code may cancel this very handle (an RAII
+  // Invalidate the occupant word BEFORE touching the capture: its
+  // destructor is user code that may cancel this very handle (an RAII
   // timeout guard).  With the occupant already mismatching, the reentrant
   // cancel is a stale-handle no-op.  The slot joins the free list only
   // after the capture is fully destroyed, so a reentrant push cannot
@@ -69,14 +67,7 @@ void EventQueue::cancel_handle(const EventHandle& h) {
   occupant(slot) = kVacantTag | kNoSlot;  // vacant, not yet on free list
   --live_count_;
   ++dead_pending_;  // the pending record outlives the slot until popped
-  // In-place destroy (InlineFn::reset detaches its vtable before running
-  // the destructor, so the capture's teardown code sees an empty slot and
-  // may reenter cancel()/push() safely).
-  if (slot & kPoolBit) {
-    fat_fn(index) = nullptr;
-  } else {
-    compact_fn(index) = nullptr;
-  }
+  destroy_capture(slot);
   release_slot(slot);
   if (dead_pending_ > kCompactFloor && dead_pending_ > live_count_) {
     compact();

@@ -8,20 +8,24 @@
 // PendingEntry records (sim/pending_entry.hpp) in a CalendarPendingSet
 // (sim/calendar_queue.hpp): the amortised-O(1) calendar queue, which runs
 // on its 4-ary PendingHeap below ~1k pending events and keeps the same
-// heap as its overflow year.  The push/pop path is fully inlined.
+// heap as its overflow year.  The push/fire path is fully inlined.
 //
 // Storage layout of the callback layer (no per-event allocation):
-//   - compact callback slab: captures up to 56 bytes — the overwhelming
-//     majority of engine events capture a `this` pointer plus an index or
-//     two — live in 64-byte slots, one cache line each, in 64-byte-aligned
-//     512-slot blocks that are never relocated;
-//   - fat callback slab: the few big captures (a Packet by value plus a
-//     PacketFn sink plus a timestamp, see sim/link.cpp) get full EventFn
-//     slots in their own 512-slot blocks, allocated only if ever used;
+//   - compact callback slab: captures up to 56 bytes — a `this` pointer
+//     plus an index or two — live in 64-byte slots, one cache line each,
+//     in 64-byte-aligned 512-slot blocks that are never relocated;
+//   - fat callback slab: larger captures get full 128-byte EventFn slots
+//     in their own 512-slot blocks, allocated only if ever used.  These
+//     include the model's busiest events: a delivery carries a Packet by
+//     value (72 bytes), a MUX completion 64 bytes;
 //   - occupant arrays: one 64-bit word per slot — the sequence number of
 //     the event currently holding the slot, or a vacancy tag carrying the
 //     free-list link.  Liveness checks touch only these dense arrays,
 //     never the slabs.
+//
+// Firing.  fire_next() runs the front callback in its slot: no capture
+// is moved or copied to fire it.  The slot is linked into the free list
+// only after the callback returns or throws (see fire_next).
 //
 // Ordering.  Events fire in (time, sequence) order; the sequence number
 // makes simultaneous events fire in scheduling order, which keeps
@@ -119,12 +123,17 @@ class EventQueue {
   /// Time of the earliest live event; kTimeInfinity when empty.
   Time next_time();
 
-  /// Pop and return the earliest live event.  Caller checks empty() first.
-  struct Fired {
-    Time time;
-    EventFn fn;
-  };
-  Fired pop();
+  /// Fire the earliest live event and return its time.  Caller checks
+  /// empty() first; a caller that keeps a clock sets it from next_time()
+  /// before the call.  The callback runs in its slot, where push()
+  /// constructed it — nothing is moved.  While it runs, its occupant word
+  /// is already vacant (cancelling its own handle is a no-op) but the slot
+  /// is off the free list, so no push from inside the callback can reuse
+  /// the storage it runs in.  When the callback returns or throws, the
+  /// capture is destroyed and the slot joins the free list; an exception
+  /// then propagates.  clear() must not be called from inside the
+  /// callback (Simulator's reset guards reject that).
+  Time fire_next();
 
   /// Discard every pending event (captures destroyed, slots recycled) and
   /// rewind to the fresh logical state while keeping every arena warm —
@@ -181,6 +190,17 @@ class EventQueue {
   template <bool Fat>
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);  ///< link a vacated slot
+  /// Destroy the capture in `slot` in place (InlineFn::reset detaches its
+  /// vtable before running the destructor, so the capture's teardown code
+  /// sees an empty slot and may reenter cancel()/push() safely).
+  void destroy_capture(std::uint32_t slot) noexcept {
+    const std::uint32_t index = slot & kPoolMask;
+    if (slot & kPoolBit) {
+      fat_fn(index) = nullptr;
+    } else {
+      compact_fn(index) = nullptr;
+    }
+  }
   void cancel_handle(const EventHandle& h);
   /// Invalidate every occupant, then destroy all captures — while the
   /// occupant arrays are still alive.  The destructor calls this: a
@@ -280,11 +300,7 @@ inline EventHandle EventQueue::push(Time t, F&& fn) {
     // The slot was never published (occupant still vacant-tagged), so a
     // capture destructor cancelling its own handle no-ops; destroy the
     // capture, then return the slot to the free list.
-    if constexpr (kFat) {
-      fat_fn(index) = nullptr;
-    } else {
-      compact_fn(index) = nullptr;
-    }
+    destroy_capture(slot);
     release_slot(slot);
     throw;
   }
@@ -309,33 +325,39 @@ inline Time EventQueue::next_time() {
                               : key_time(pending_.min().time_key);
 }
 
-inline EventQueue::Fired EventQueue::pop() {
+inline Time EventQueue::fire_next() {
   skim_dead();
-  assert(pending_.size() != 0 && "pop on empty EventQueue");
-  const PendingEntry& front = pending_.min();
-  const std::uint32_t slot = entry_slot(front);
+  assert(pending_.size() != 0 && "fire_next on empty EventQueue");
+  const std::uint32_t slot = entry_slot(pending_.min());
   const std::uint32_t index = slot & kPoolMask;
   const bool fat = (slot & kPoolBit) != 0;
-  void* fn_addr = fat ? static_cast<void*>(&fat_fn(index))
-                      : static_cast<void*>(&compact_fn(index));
 #if defined(__GNUC__) || defined(__clang__)
   // Start pulling the callback's slab line while the pending-set deletion
   // below works through its levels; the two memory streams overlap.
-  __builtin_prefetch(fn_addr, /*rw=*/1);
+  __builtin_prefetch(fat ? static_cast<void*>(&fat_fn(index))
+                         : static_cast<void*>(&compact_fn(index)));
 #endif
-  const PendingEntry top = pending_.pop_min();
-  // Invalidate the occupant before relocating the capture: the move of a
-  // non-trivial capture runs user code (move ctor + moved-from dtor) that
-  // may call cancel() on this very event; with the word already
-  // mismatching, that reentrant cancel is a no-op.  Free-list linking
-  // waits until the relocation is complete.
+  const Time t = key_time(pending_.pop_min().time_key);
+  // Vacate the occupant before the callback runs, so a cancel() of this
+  // very event from inside it (or from the capture's destructor) is a
+  // stale-handle no-op.  The slot is linked into the free list only once
+  // the capture is gone, whichever way the callback leaves.
   occupant(slot) = kVacantTag | kNoSlot;
   --live_count_;
-  Fired fired{key_time(top.time_key),
-              fat ? EventFn(std::move(*static_cast<EventFn*>(fn_addr)))
-                  : EventFn(std::move(*static_cast<CompactFn*>(fn_addr)))};
-  release_slot(slot);
-  return fired;
+  struct Release {
+    EventQueue* queue;
+    std::uint32_t slot;
+    ~Release() {
+      queue->destroy_capture(slot);
+      queue->release_slot(slot);
+    }
+  } release{this, slot};
+  if (fat) {
+    fat_fn(index)();
+  } else {
+    compact_fn(index)();
+  }
+  return t;
 }
 
 }  // namespace emcast::sim

@@ -61,13 +61,13 @@ class Simulator {
     stop_requested_ = false;
     std::uint64_t executed = 0;
     while (!stop_requested_ && !queue_.empty()) {
-      // next_time() skims cancelled events, so the subsequent pop() finds a
-      // live event at the pending-set front without rescanning.
-      if (queue_.next_time() > until) break;
-      auto fired = queue_.pop();
-      assert(fired.time + 1e-12 >= now_ && "event time went backwards");
-      now_ = fired.time;
-      fired.fn();
+      // next_time() skims cancelled events, so the subsequent fire_next()
+      // finds a live event at the pending-set front without rescanning.
+      const Time t = queue_.next_time();
+      if (t > until) break;
+      assert(t + 1e-12 >= now_ && "event time went backwards");
+      now_ = t;
+      queue_.fire_next();
       ++executed;
     }
     // Advance the clock to the horizon when we ran out of events before it;
@@ -89,11 +89,12 @@ class Simulator {
   std::uint64_t run_before(Time bound) {
     const RunGuard guard{this};
     std::uint64_t executed = 0;
-    while (!queue_.empty() && queue_.next_time() < bound) {
-      auto fired = queue_.pop();
-      assert(fired.time + 1e-12 >= now_ && "event time went backwards");
-      now_ = fired.time;
-      fired.fn();
+    while (!queue_.empty()) {
+      const Time t = queue_.next_time();
+      if (!(t < bound)) break;
+      assert(t + 1e-12 >= now_ && "event time went backwards");
+      now_ = t;
+      queue_.fire_next();
       ++executed;
     }
     events_executed_ += executed;

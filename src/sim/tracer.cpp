@@ -57,7 +57,7 @@ void DelayTracer::enable_quantiles() {
 }
 
 double DelayTracer::quantile(double q) const {
-  return quantiles_ ? quantiles_->quantile(q) : 0.0;
+  return quantiles_ ? quantiles_->quantile(q, all_) : 0.0;
 }
 
 std::size_t DelayTracer::memory_bytes() const {

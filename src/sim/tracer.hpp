@@ -62,8 +62,9 @@ class DelayTracer {
   /// nothing to the sketch (their samples were never binned).
   void enable_quantiles();
   bool quantiles_enabled() const { return quantiles_ != nullptr; }
-  /// Inverse-CDF estimate from the sketch; 0 when quantiles are off or
-  /// no samples survived warm-up.  q=1 is the exact maximum.
+  /// Inverse-CDF estimate from the sketch, clamped to the exact extrema
+  /// of all(); 0 when quantiles are off or no samples survived warm-up.
+  /// q=1 is the exact maximum.
   double quantile(double q) const;
 
   /// Bytes held by this tracer (self + sketch).

@@ -52,7 +52,7 @@ struct InlineFnVTable {
   /// nullptr for trivially-copyable/destructible captures: relocation is
   /// then a `size`-byte memcpy and destruction a no-op.
   void (*manage)(InlineFnOp, void* self, void* target);
-  std::uint32_t size;
+  std::uint32_t size;  ///< bytes to relocate: 0 for an empty capture
 };
 
 template <typename Fn, typename R, typename... Args>
@@ -79,7 +79,9 @@ constexpr InlineFnVTable<R, Args...> make_inline_fn_vtable() {
       fn->~Fn();
     };
   }
-  vt.size = static_cast<std::uint32_t>(sizeof(Fn));
+  // An empty capture (a captureless lambda) has one byte of storage that
+  // is never written: relocate it by copying nothing.
+  vt.size = std::is_empty_v<Fn> ? 0 : static_cast<std::uint32_t>(sizeof(Fn));
   return vt;
 }
 

@@ -106,26 +106,19 @@ std::size_t LogHistogram::bin_of(double x) const {
       idx, 0, static_cast<long long>(counts_.size()) - 1));
 }
 
-void LogHistogram::add(double x) {
-  stats_.add(x);
-  ++counts_[bin_of(x)];
-}
+void LogHistogram::add(double x) { ++counts_[bin_of(x)]; }
 
 void LogHistogram::merge(const LogHistogram& other) {
   if (other.lo_ != lo_ || other.log_ratio_ != log_ratio_ ||
       other.counts_.size() != counts_.size()) {
     throw std::invalid_argument("LogHistogram::merge: geometries differ");
   }
-  stats_.merge(other.stats_);
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     counts_[i] += other.counts_[i];
   }
 }
 
-void LogHistogram::reset() {
-  stats_.reset();
-  std::fill(counts_.begin(), counts_.end(), 0);
-}
+void LogHistogram::reset() { std::fill(counts_.begin(), counts_.end(), 0); }
 
 void LogHistogram::save(ByteWriter& w) const {
   w.f64(lo_);
@@ -134,7 +127,6 @@ void LogHistogram::save(ByteWriter& w) const {
   w.f64(log_ratio_);
   w.u32(static_cast<std::uint32_t>(counts_.size()));
   for (const std::uint64_t c : counts_) w.u64(c);
-  stats_.save(w);
 }
 
 void LogHistogram::load(ByteReader& r) {
@@ -148,14 +140,20 @@ void LogHistogram::load(ByteReader& r) {
     throw ByteRangeError("LogHistogram::load: saved geometry differs");
   }
   for (std::uint64_t& c : counts_) c = r.u64();
-  stats_.load(r);
 }
 
-double LogHistogram::quantile(double q) const {
-  if (stats_.count() == 0) return 0.0;
+std::uint64_t LogHistogram::total() const {
+  std::uint64_t n = 0;
+  for (const std::uint64_t c : counts_) n += c;
+  return n;
+}
+
+double LogHistogram::quantile(double q, const OnlineStats& exact) const {
+  const std::uint64_t n = total();
+  if (n == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  if (q >= 1.0) return stats_.max();
-  const auto target = static_cast<double>(stats_.count()) * q;
+  if (q >= 1.0) return exact.max();
+  const auto target = static_cast<double>(n) * q;
   double cum = 0.0;
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     cum += static_cast<double>(counts_[i]);
@@ -164,10 +162,10 @@ double LogHistogram::quantile(double q) const {
       // extrema so clamped-mass bins cannot report impossible values.
       const double mid = std::exp(
           log_lo_ + (static_cast<double>(i) + 0.5) * log_ratio_);
-      return std::clamp(mid, stats_.min(), stats_.max());
+      return std::clamp(mid, exact.min(), exact.max());
     }
   }
-  return stats_.max();
+  return exact.max();
 }
 
 }  // namespace emcast::util

@@ -61,8 +61,10 @@ class OnlineStats {
 /// across orders of magnitude — the right shape for delay distributions
 /// whose tail matters.  Samples below `lo` (including non-positive ones)
 /// clamp into bin 0; samples past the top clamp into the last bin.  Mass
-/// is never dropped, and the exact extrema/mean survive in the embedded
-/// OnlineStats.
+/// is never dropped.  The sketch keeps bin counts only: the exact count,
+/// extrema and mean live in the caller's OnlineStats over the same samples
+/// (DelayTracer's), which quantile() takes as an argument, so a recorded
+/// sample costs one accumulator add, not two.
 ///
 /// Merging adds bin counts elementwise, which commutes and associates:
 /// per-shard sketches merged in any order equal the single-kernel sketch
@@ -82,22 +84,23 @@ class LogHistogram {
   void merge(const LogHistogram& other);
   void reset();
 
-  /// Marshal the full sketch — geometry, bins and embedded stats — so a
-  /// loaded sketch merges exactly with the live sketches it left behind.
+  /// Marshal the full sketch — geometry and bins — so a loaded sketch
+  /// merges exactly with the live sketches it left behind.
   /// load() throws ByteRangeError when the saved geometry differs from
   /// this sketch's: the receiver's geometry is config, not state.
   void save(ByteWriter& w) const;
   void load(ByteReader& r);
 
-  std::size_t total() const { return stats_.count(); }
-  const OnlineStats& stats() const { return stats_; }
+  /// Samples binned: the sum of the bin counts, O(bins).
+  std::uint64_t total() const;
   std::size_t bin_count() const { return counts_.size(); }
   const std::vector<std::uint64_t>& bins() const { return counts_; }
 
-  /// Inverse-CDF estimate; q in [0,1].  q=1 returns the exact maximum
-  /// (from the embedded stats), interior quantiles return the geometric
-  /// midpoint of the covering bin — error bounded by the bin ratio.
-  double quantile(double q) const;
+  /// Inverse-CDF estimate; q in [0,1].  `exact` is the caller's
+  /// accumulator over the same samples: q=1 returns its exact maximum,
+  /// interior quantiles return the geometric midpoint of the covering bin
+  /// — error bounded by the bin ratio — clamped to its exact extrema.
+  double quantile(double q, const OnlineStats& exact) const;
 
   std::size_t memory_bytes() const {
     return sizeof(*this) + counts_.capacity() * sizeof(counts_[0]);
@@ -111,7 +114,6 @@ class LogHistogram {
   double inv_log_ratio_ = 0;  ///< 1 / ln(ratio)
   double log_ratio_ = 0;
   std::vector<std::uint64_t> counts_;
-  OnlineStats stats_;
 };
 
 /// SplitMix64 finalizer: a cheap, high-quality 64-bit mixing function.

@@ -51,11 +51,10 @@ std::vector<TraceEvent> run_script(const std::vector<Op>& ops) {
       }
       case Op::kPop: {
         if (q.empty()) break;
-        auto fired = q.pop();
         const std::size_t at = trace.size();
-        fired.fn();
+        const Time t = q.fire_next();
         EXPECT_EQ(trace.size(), at + 1) << "event did not record itself";
-        trace.back().time = fired.time;
+        trace.back().time = t;
         break;
       }
       case Op::kCancel: {
@@ -66,11 +65,10 @@ std::vector<TraceEvent> run_script(const std::vector<Op>& ops) {
     }
   }
   while (!q.empty()) {
-    auto fired = q.pop();
     const std::size_t at = trace.size();
-    fired.fn();
+    const Time t = q.fire_next();
     EXPECT_EQ(trace.size(), at + 1);
-    trace.back().time = fired.time;
+    trace.back().time = t;
   }
   return trace;
 }
@@ -224,9 +222,9 @@ TEST(CalendarQueue, WorkloadActuallyExercisesTheCalendarMachinery) {
   std::uint64_t advances_while_calendar = 0;
   while (!q.empty()) {
     if (!cal.small_mode()) advances_while_calendar = cal.year_advance_count();
-    const auto fired = q.pop();
-    EXPECT_GE(fired.time, prev);
-    prev = fired.time;
+    const Time t = q.fire_next();
+    EXPECT_GE(t, prev);
+    prev = t;
     ++popped;
   }
   EXPECT_EQ(popped, 4000u - (4000u + 2) / 3);
@@ -248,9 +246,9 @@ TEST(CalendarQueue, SmallPopulationsRunOnTheHeapPolicyPath) {
   EXPECT_EQ(cal.overflow_count(), 999u);  // population minus the front
   double prev = -1.0;
   while (!q.empty()) {
-    const auto fired = q.pop();
-    EXPECT_GE(fired.time, prev);
-    prev = fired.time;
+    const Time t = q.fire_next();
+    EXPECT_GE(t, prev);
+    prev = t;
   }
   EXPECT_EQ(cal.mode_switches(), 0u);
 }
@@ -272,9 +270,9 @@ TEST(CalendarQueue, ModeTransitionsHaveHysteresisAndPreserveOrder) {
   double prev = -1.0;
   std::size_t popped = 0;
   while (!q.empty()) {
-    const auto fired = q.pop();
-    ASSERT_GE(fired.time, prev) << "order broke at pop " << popped;
-    prev = fired.time;
+    const Time t = q.fire_next();
+    ASSERT_GE(t, prev) << "order broke at pop " << popped;
+    prev = t;
     ++popped;
   }
   EXPECT_EQ(popped, static_cast<std::size_t>(n));
@@ -301,12 +299,70 @@ TEST(CalendarQueue, CompactionPurgesDeadRecordsInBucketsAndOverflow) {
   std::size_t popped = 0;
   double prev = 0.0;
   while (!q.empty()) {
-    const auto fired = q.pop();
-    EXPECT_GT(fired.time, prev);
-    prev = fired.time;
+    const Time t = q.fire_next();
+    EXPECT_GT(t, prev);
+    prev = t;
     ++popped;
   }
   EXPECT_EQ(popped, 200u);
+}
+
+TEST(CalendarQueue, SteadyRateKeepsSortedBucketsShortAcrossBinades) {
+  // A steady event rate from t = 1 s to t = 12 s: 4096 sources, each
+  // re-arming after a uniform hold of mean 50 ms.  Double keys halve the
+  // key spacing of one event rate at every power of two of t, so a day
+  // width fixed in key units doubles the entries per sorted bucket at
+  // t = 2, 4 and 8 s.  Sized from the dequeue gap, a day keeps the same
+  // share of the rate in every binade.  The sorted entries are counted
+  // per binade of the firing time.
+  struct Source {
+    EventQueue* q;
+    util::Rng* rng;
+    Time t;
+    void operator()() const {
+      const Time next = t + rng->uniform(0.0, 0.1);
+      if (next < 12.0) q->push(next, Source{q, rng, next});
+    }
+  };
+  EventQueue q;
+  util::Rng rng(19);
+  for (int i = 0; i < 4096; ++i) {
+    const Time t = 1.0 + rng.uniform(0.0, 0.1);
+    q.push(t, Source{&q, &rng, t});
+  }
+  struct Binade {
+    std::uint64_t pops = 0;
+    std::uint64_t sorts = 0;
+    std::uint64_t sorted = 0;
+  };
+  Binade binades[4];  // [1, 2), [2, 4), [4, 8), [8, 12) s
+  const CalendarPendingSet& cal = q.pending_set();
+  while (!q.empty()) {
+    const Time t = q.next_time();
+    Binade& b = binades[t < 2.0 ? 0 : t < 4.0 ? 1 : t < 8.0 ? 2 : 3];
+    const std::uint64_t sorts_before = cal.sort_count();
+    const std::uint64_t sorted_before = cal.sorted_entries();
+    q.fire_next();
+    ++b.pops;
+    b.sorts += cal.sort_count() - sorts_before;
+    b.sorted += cal.sorted_entries() - sorted_before;
+  }
+  EXPECT_GT(cal.year_advance_count(), 4u);
+  // A day fixed in key units sorts about every entry, in buckets of about
+  // 5, 10, 20 and 40 entries in the four binades; here a fifth of the
+  // entries are sorted, in buckets of about 2.
+  const auto per_sort = [](const Binade& b) {
+    return static_cast<double>(b.sorted) / static_cast<double>(b.sorts);
+  };
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_GT(binades[i].sorts, 1000u) << "binade " << i;
+    EXPECT_LT(static_cast<double>(binades[i].sorted),
+              0.5 * static_cast<double>(binades[i].pops))
+        << "binade " << i;
+    EXPECT_LT(per_sort(binades[i]), 4.0) << "binade " << i;
+  }
+  EXPECT_LT(per_sort(binades[3]), 1.5 * per_sort(binades[0]))
+      << "sorted buckets grew from t = 1 s to t = 8 s";
 }
 
 TEST(CalendarSimulator, FullKernelMatchesHeapKernel) {

@@ -115,7 +115,7 @@ TEST(EngineAllocation, PushPopCancelChurnIsAllocationFree) {
   for (int i = 0; i < kOutstanding; i += 2) {
     handles[static_cast<std::size_t>(i)].cancel();
   }
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) q.fire_next();
 
   const std::size_t before = g_allocations.load();
   const auto arenas_before = EventQueueTestPeer::arenas(q);
@@ -128,7 +128,7 @@ TEST(EngineAllocation, PushPopCancelChurnIsAllocationFree) {
     for (int i = 0; i < kOutstanding; i += 2) {
       handles[static_cast<std::size_t>(i)].cancel();
     }
-    while (!q.empty()) q.pop().fn();
+    while (!q.empty()) q.fire_next();
     clock += kOutstanding;
   }
   EXPECT_EQ(g_allocations.load(), before)
@@ -271,7 +271,7 @@ TEST(EngineAllocation, SmallModeChurnIsAllocationFree) {
     handles[static_cast<std::size_t>(i)] =
         q.push(static_cast<double>(i), [] {});
   }
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) q.fire_next();
 
   const std::size_t before = g_allocations.load();
   double clock = static_cast<double>(kOutstanding);
@@ -282,7 +282,7 @@ TEST(EngineAllocation, SmallModeChurnIsAllocationFree) {
     for (int i = 0; i < kOutstanding; i += 2) {
       handles[static_cast<std::size_t>(i)].cancel();
     }
-    while (!q.empty()) q.pop().fn();
+    while (!q.empty()) q.fire_next();
     clock += kOutstanding;
   }
   EXPECT_EQ(g_allocations.load(), before);

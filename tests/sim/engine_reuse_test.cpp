@@ -62,7 +62,7 @@ TEST(EventQueueClear, PreClearEpochHandleIsPermanentlyStale) {
   EXPECT_FALSE(old.pending());
   old.cancel();  // must be a no-op, not a cancellation of the new event
   EXPECT_TRUE(fresh.pending());
-  q.pop().fn();
+  q.fire_next();
   EXPECT_TRUE(fired);
 }
 
@@ -83,8 +83,8 @@ TEST(EventQueueClear, KeepsArenasWarmAndReturnsToSmallMode) {
   // The warmed queue is immediately usable and pops in (time, seq) order.
   q.push(5.0, [] {});
   q.push(3.0, [] {});
-  EXPECT_EQ(q.pop().time, 3.0);
-  EXPECT_EQ(q.pop().time, 5.0);
+  EXPECT_EQ(q.fire_next(), 3.0);
+  EXPECT_EQ(q.fire_next(), 5.0);
 }
 
 // ---- Simulator::reset ---------------------------------------------------

@@ -3,6 +3,7 @@
 // exhaustion, dead-entry compaction, and the ordering bit-tricks.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -32,7 +33,7 @@ namespace {
 TEST(EventEngine, FiredSlotIsReusedWithFreshGeneration) {
   EventQueue q;
   auto h1 = q.push(1.0, [] {});
-  q.pop().fn();
+  q.fire_next();
   auto h2 = q.push(2.0, [] {});
   // Same storage slot, different generation.
   EXPECT_EQ(EventQueueTestPeer::slot_of(h1), EventQueueTestPeer::slot_of(h2));
@@ -45,13 +46,13 @@ TEST(EventEngine, FiredSlotIsReusedWithFreshGeneration) {
 TEST(EventEngine, StaleHandleCannotCancelSlotsNewOccupant) {
   EventQueue q;
   auto stale = q.push(1.0, [] {});
-  q.pop();  // fires; slot freed
+  q.fire_next();  // fires; slot freed
   bool fired = false;
   auto live = q.push(2.0, [&] { fired = true; });
   stale.cancel();  // must be a no-op against the recycled slot
   EXPECT_TRUE(live.pending());
   ASSERT_FALSE(q.empty());
-  q.pop().fn();
+  q.fire_next();
   EXPECT_TRUE(fired);
 }
 
@@ -61,7 +62,7 @@ TEST(EventEngine, CancelAfterFireThenReuseManyTimes) {
   for (int round = 0; round < 100; ++round) {
     auto h = q.push(static_cast<double>(round), [] {});
     stale.push_back(h);
-    q.pop().fn();
+    q.fire_next();
     // Every retired handle stays inert no matter how often its slot
     // cycles.
     for (auto& s : stale) {
@@ -80,7 +81,7 @@ TEST(EventEngine, GenerationSpaceNearLimitStillOrdersCorrectly) {
   q.push(5.0, [&] { order.push_back(1); });
   auto h = q.push(5.0, [&] { order.push_back(2); });
   h.cancel();
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) q.fire_next();
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
@@ -108,9 +109,9 @@ TEST(EventEngine, MassCancelTriggersCompaction) {
   double prev = 0.0;
   int popped = 0;
   while (!q.empty()) {
-    auto fired = q.pop();
-    EXPECT_GT(fired.time, prev);
-    prev = fired.time;
+    const Time t = q.fire_next();
+    EXPECT_GT(t, prev);
+    prev = t;
     ++popped;
   }
   EXPECT_EQ(popped, 100);
@@ -132,7 +133,7 @@ TEST(EventEngine, DeadRecordCountIsExact) {
   EXPECT_EQ(EventQueueTestPeer::dead_pending(q), 21u);
   EXPECT_EQ(q.next_time(), 2.0);  // skims the dead record at 1.0
   EXPECT_EQ(EventQueueTestPeer::dead_pending(q), 20u);
-  while (!q.empty()) q.pop().fn();  // skims 3, 5, ..., 37 on the way
+  while (!q.empty()) q.fire_next();  // skims 3, 5, ..., 37 on the way
   EXPECT_EQ(EventQueueTestPeer::dead_pending(q), 2u)
       << "the records at 39 and 40 sit behind the last live event";
   EXPECT_EQ(q.next_time(), kTimeInfinity);
@@ -148,7 +149,7 @@ TEST(EventEngine, SignedZerosAreATieBrokenBySchedulingOrder) {
   q.push(+0.0, [&] { order.push_back(0); });
   q.push(-0.0, [&] { order.push_back(1); });
   q.push(+0.0, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) q.fire_next();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
@@ -159,7 +160,7 @@ TEST(EventEngine, NegativeTimesOrderCorrectly) {
   for (double t : {3.5, -2.0, 0.0, -7.25, 1.0, -0.5}) {
     q.push(t, [&order, t] { order.push_back(t); });
   }
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) q.fire_next();
   EXPECT_EQ(order, (std::vector<double>{-7.25, -2.0, -0.5, 0.0, 1.0, 3.5}));
 }
 
@@ -172,7 +173,7 @@ TEST(EventEngine, InterleavedCancelKeepsDeterministicTieBreak) {
     handles.push_back(q.push(10.0, [&order, i] { order.push_back(i); }));
     if (i % 2 == 1) handles.back().cancel();
   }
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) q.fire_next();
   ASSERT_EQ(order.size(), 25u);
   for (std::size_t i = 1; i < order.size(); ++i) {
     EXPECT_LT(order[i - 1], order[i]);  // scheduling order, despite reuse
@@ -201,15 +202,15 @@ TEST(EventEngine, CaptureDestructorMayCancelItsOwnHandle) {
   // The slot must be cleanly reusable afterwards.
   bool fired = false;
   q.push(2.0, [&] { fired = true; });
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) q.fire_next();
   EXPECT_TRUE(fired);
 }
 
 TEST(EventEngine, DefaultedMoveGuardMayCancelDuringRelocation) {
   // The harder reentrancy case: a guard whose move constructor is
   // DEFAULTED, so the moved-from source still holds the handle pointer
-  // and its destructor — which runs inside the relocation that cancel()
-  // and pop() perform — calls cancel() mid-teardown.
+  // and its destructor — which runs when cancel() or fire_next()
+  // destroys the capture in its slot — calls cancel() mid-teardown.
   struct Guard {
     EventHandle* h;
     ~Guard() {
@@ -231,9 +232,9 @@ TEST(EventEngine, DefaultedMoveGuardMayCancelDuringRelocation) {
     EXPECT_TRUE(q.empty());
   }
   {
-    // Mid-pop reentrancy: disarm the local after the move, so only the
-    // stored capture holds the handle — its destructor then runs inside
-    // pop()'s relocation and cancels the event being extracted.
+    // Mid-fire reentrancy: disarm the local after the move, so only the
+    // stored capture holds the handle — its destructor then runs as
+    // fire_next() destroys the fired capture and cancels that very event.
     EventQueue q;
     EventHandle handle;
     Guard local{&handle};
@@ -242,7 +243,7 @@ TEST(EventEngine, DefaultedMoveGuardMayCancelDuringRelocation) {
     ASSERT_TRUE(handle.pending());
     int popped = 0;
     while (!q.empty()) {
-      q.pop().fn();
+      q.fire_next();
       ++popped;
     }
     EXPECT_EQ(popped, 1);
@@ -253,6 +254,66 @@ TEST(EventEngine, DefaultedMoveGuardMayCancelDuringRelocation) {
     EXPECT_NE(EventQueueTestPeer::slot_of(a), EventQueueTestPeer::slot_of(b));
     EXPECT_EQ(q.live_count(), 2u);
   }
+}
+
+TEST(EventEngine, CallbackRunsInItsSlotAndReleasesItOnThrow) {
+  // fire_next() runs the callback where push() constructed it.  While it
+  // runs, its handle is stale (cancel is a no-op) and its slot is off the
+  // free list, so a push from inside gets another slot.  When it throws,
+  // the capture is destroyed, the slot is released, and the exception
+  // reaches the caller.
+  struct Probe {
+    const void** constructed_at;
+    const void** called_at;
+    int* destroyed;
+    std::function<void()>* body;
+    Probe(const void** c, const void** a, int* d, std::function<void()>* b)
+        : constructed_at(c), called_at(a), destroyed(d), body(b) {}
+    Probe(Probe&& o) noexcept
+        : constructed_at(o.constructed_at), called_at(o.called_at),
+          destroyed(o.destroyed), body(o.body) {
+      *constructed_at = this;
+      o.destroyed = nullptr;
+    }
+    ~Probe() {
+      if (destroyed != nullptr) ++*destroyed;
+    }
+    void operator()() {
+      *called_at = this;
+      (*body)();
+    }
+  };
+  EventQueue q;
+  EventHandle self;
+  EventHandle inner;
+  const void* constructed_at = nullptr;
+  const void* called_at = nullptr;
+  int destroyed = 0;
+  std::function<void()> body = [&] {
+    EXPECT_FALSE(self.pending());
+    self.cancel();  // a stale handle: must not release the running slot
+    inner = q.push(2.0, [] {});
+    EXPECT_EQ(destroyed, 0) << "capture destroyed while running";
+    throw std::runtime_error("thrown by the callback");
+  };
+  self = q.push(1.0, Probe(&constructed_at, &called_at, &destroyed, &body));
+  const std::uint32_t running = EventQueueTestPeer::slot_of(self);
+  EXPECT_THROW(q.fire_next(), std::runtime_error);
+  EXPECT_EQ(called_at, constructed_at) << "the capture was moved to fire";
+  EXPECT_NE(EventQueueTestPeer::slot_of(inner), running)
+      << "a push reused the slot of the running callback";
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(q.live_count(), 1u);
+  EXPECT_TRUE(inner.pending());
+  // Released exactly once: the next push reuses it, the one after does not.
+  const EventHandle after = q.push(3.0, [] {});
+  EXPECT_EQ(EventQueueTestPeer::slot_of(after), running);
+  const EventHandle last = q.push(4.0, [] {});
+  EXPECT_NE(EventQueueTestPeer::slot_of(last), running);
+  EXPECT_EQ(q.fire_next(), 2.0);
+  EXPECT_EQ(q.fire_next(), 3.0);
+  EXPECT_EQ(q.fire_next(), 4.0);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventEngine, QueueDestructionWithCrossCancellingCapturesIsSafe) {
@@ -305,14 +366,14 @@ TEST(EventEngine, ThrowingCopyDuringPushLeaksNoSlot) {
   // slot 0 rather than walking the slot space.
   auto h = q.push(1.0, [] {});
   EXPECT_EQ(EventQueueTestPeer::slot_of(h), 0u);
-  q.pop().fn();
+  q.fire_next();
 }
 
 TEST(EventEngine, DiscardableReturnValuesAreAccepted) {
   EventQueue q;
   int calls = 0;
   q.push(1.0, [&calls] { return ++calls; });  // non-void return, discarded
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) q.fire_next();
   EXPECT_EQ(calls, 1);
 }
 
@@ -324,7 +385,7 @@ TEST(EventEngine, LiveCountTracksPushPopCancel) {
   EXPECT_EQ(q.live_count(), 2u);
   a.cancel();
   EXPECT_EQ(q.live_count(), 1u);
-  q.pop();
+  q.fire_next();
   EXPECT_EQ(q.live_count(), 0u);
   EXPECT_TRUE(q.empty());
   (void)b;

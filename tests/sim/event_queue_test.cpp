@@ -21,7 +21,7 @@ TEST(EventQueue, PopsInTimeOrder) {
   q.push(3.0, [&] { order.push_back(3); });
   q.push(1.0, [&] { order.push_back(1); });
   q.push(2.0, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) q.fire_next();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -31,7 +31,7 @@ TEST(EventQueue, SimultaneousEventsFireInSchedulingOrder) {
   for (int i = 0; i < 10; ++i) {
     q.push(5.0, [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) q.fire_next();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
@@ -55,8 +55,7 @@ TEST(EventQueue, CancelIsIdempotent) {
 TEST(EventQueue, CancelAfterFireIsNoop) {
   EventQueue q;
   auto h = q.push(1.0, [] {});
-  auto fired = q.pop();
-  fired.fn();
+  q.fire_next();
   EXPECT_FALSE(h.pending());
   h.cancel();  // must not crash or corrupt
   EXPECT_TRUE(q.empty());
@@ -79,7 +78,7 @@ TEST(EventQueue, CancelInMiddleSkipsOnlyThatEvent) {
   auto h = q.push(2.0, [&] { order.push_back(2); });
   q.push(3.0, [&] { order.push_back(3); });
   h.cancel();
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) q.fire_next();
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
@@ -107,9 +106,9 @@ TEST(EventQueue, LargeVolumeStaysSorted) {
   }
   double prev = -1.0;
   while (!q.empty()) {
-    auto e = q.pop();
-    EXPECT_GE(e.time, prev);
-    prev = e.time;
+    const Time t = q.fire_next();
+    EXPECT_GE(t, prev);
+    prev = t;
   }
 }
 

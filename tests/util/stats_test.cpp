@@ -115,26 +115,39 @@ TEST(OnlineStats, RejectsWhatTheFixedPointCannotHold) {
 
 TEST(LogHistogram, QuantileWithinRelativeError) {
   LogHistogram h(1e-6, 100.0, 0.02);
-  for (int i = 1; i <= 1000; ++i) h.add(static_cast<double>(i) * 1e-3);
+  OnlineStats exact;  // the caller's accumulator over the same samples
+  for (int i = 1; i <= 1000; ++i) {
+    h.add(static_cast<double>(i) * 1e-3);
+    exact.add(static_cast<double>(i) * 1e-3);
+  }
   EXPECT_EQ(h.total(), 1000u);
   // Median of 1..1000 ms is ~0.5 s; 2% bins mean ~2% answer error.
-  EXPECT_NEAR(h.quantile(0.5), 0.5, 0.5 * 0.05);
-  EXPECT_NEAR(h.quantile(0.99), 0.99, 0.99 * 0.05);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 1.0);  // exact max
+  EXPECT_NEAR(h.quantile(0.5, exact), 0.5, 0.5 * 0.05);
+  EXPECT_NEAR(h.quantile(0.99, exact), 0.99, 0.99 * 0.05);
+  EXPECT_DOUBLE_EQ(h.quantile(1.0, exact), 1.0);  // exact max
 }
 
 TEST(LogHistogram, ClampsWithoutDroppingMass) {
   LogHistogram h(1e-3, 1.0, 0.05);
-  h.add(0.0);     // non-positive clamps into bin 0
-  h.add(-2.0);
-  h.add(1e-9);    // below lo clamps into bin 0
-  h.add(50.0);    // above hi clamps into the last bin
+  OnlineStats exact;
+  for (const double x : {0.0,     // non-positive clamps into bin 0
+                         -2.0,
+                         1e-9,    // below lo clamps into bin 0
+                         50.0}) { // above hi clamps into the last bin
+    h.add(x);
+    exact.add(x);
+  }
   EXPECT_EQ(h.total(), 4u);
   EXPECT_EQ(h.bins().front(), 3u);
   EXPECT_EQ(h.bins().back(), 1u);
-  EXPECT_DOUBLE_EQ(h.stats().max(), 50.0);  // exact extrema survive
   // Quantiles are clamped to the exact extrema despite bin clamping.
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 50.0);
+  EXPECT_DOUBLE_EQ(h.quantile(1.0, exact), 50.0);
+}
+
+TEST(LogHistogram, EmptySketchQuantileIsZero) {
+  const LogHistogram h;
+  EXPECT_EQ(h.total(), 0u);
+  EXPECT_EQ(h.quantile(0.5, OnlineStats{}), 0.0);
 }
 
 TEST(LogHistogram, MergeIsOrderIndependentAndExact) {
@@ -143,10 +156,12 @@ TEST(LogHistogram, MergeIsOrderIndependentAndExact) {
   // (integer bin counts — no float drift).
   LogHistogram whole;
   LogHistogram parts[3];
+  OnlineStats exact;
   for (int i = 0; i < 3000; ++i) {
     const double x = 1e-4 * static_cast<double>(1 + (i * 37) % 9973);
     whole.add(x);
     parts[i % 3].add(x);
+    exact.add(x);
   }
   LogHistogram ab;
   ab.merge(parts[0]);
@@ -158,8 +173,8 @@ TEST(LogHistogram, MergeIsOrderIndependentAndExact) {
   ba.merge(parts[1]);
   EXPECT_EQ(ab.bins(), whole.bins());
   EXPECT_EQ(ba.bins(), whole.bins());
-  EXPECT_EQ(ab.quantile(0.5), whole.quantile(0.5));
-  EXPECT_EQ(ba.quantile(0.99), whole.quantile(0.99));
+  EXPECT_EQ(ab.quantile(0.5, exact), whole.quantile(0.5, exact));
+  EXPECT_EQ(ba.quantile(0.99, exact), whole.quantile(0.99, exact));
 }
 
 TEST(LogHistogram, MemoryIsBinsNotSamples) {
@@ -206,13 +221,16 @@ TEST(LogHistogram, LoadRejectsAnotherGeometry) {
   // A blob of the receiver's geometry loads.
   LogHistogram source;
   source.add(0.25);
+  OnlineStats exact;
+  exact.add(0.25);
   std::vector<std::uint8_t> good;
   ByteWriter gw(good);
   source.save(gw);
   ByteReader gr(good.data(), good.size());
   receiver.load(gr);
   EXPECT_EQ(receiver.bins(), source.bins());
-  EXPECT_EQ(receiver.quantile(1.0), 0.25);
+  EXPECT_EQ(receiver.total(), 1u);
+  EXPECT_EQ(receiver.quantile(1.0, exact), 0.25);
 }
 
 TEST(KMinSample, KeepsSmallestHashesDeterministically) {
