@@ -2,7 +2,7 @@
 //
 // sweep_multigroup runs MANY short simulations; before warm reuse each
 // one paid full Engine construction (kernel, slabs, calendar arrays,
-// mailbox rings) plus the first-run arena growth.  These benchmarks pin
+// mailboxes) plus the first-run arena growth.  These benchmarks pin
 // the reuse win: the plain names run one engine kept warm across
 // iterations (Engine::reset / Simulator::reset_discarding between runs —
 // the sweep's code path), the `Fresh` twins construct a new engine per

@@ -116,10 +116,7 @@ bool engine_reusable(const sim::Engine& engine,
   const sim::EngineConfig& ec = engine.config();
   if (ec.kind != config.engine) return false;
   if (ec.kind == sim::EngineKind::Single) return true;
-  if (ec.shards != std::max<std::size_t>(1, config.shards) ||
-      ec.mailbox_capacity != config.mailbox_capacity) {
-    return false;
-  }
+  if (ec.shards != std::max<std::size_t>(1, config.shards)) return false;
   if (ec.kind == sim::EngineKind::Process) {
     return ec.processes == config.processes &&
            ec.timeout_seconds == config.process_timeout_seconds;
@@ -156,7 +153,6 @@ RoundsEngineSetup rounds_engine_setup(const overlay::MultiGroupNetwork& mg,
   setup.engine.kind = config.engine;
   setup.engine.shards = shards;
   setup.engine.threads = config.threads;
-  setup.engine.mailbox_capacity = config.mailbox_capacity;
   if (config.engine == sim::EngineKind::Process) {
     setup.engine.processes = config.processes;
     setup.engine.timeout_seconds = config.process_timeout_seconds;
@@ -947,7 +943,6 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
   r.processes = engine.process_count();
   r.rounds = engine.rounds();
   r.messages = engine.messages_posted();
-  r.messages_spilled = engine.messages_spilled();
   // The engine in the slot outlives this frame, but the handler installed
   // above (and any beyond-horizon events still pending) capture this
   // frame's locals by reference.  Discard both so a stray direct use of

@@ -134,6 +134,7 @@ struct MultiGroupSimConfig {
   /// Process: the run fails once this long passes with no barrier
   /// advance and no frame from any worker.
   double process_timeout_seconds = 30.0;
+  /// Inert: mailboxes have no capacity; kept while perfbench names it.
   std::size_t mailbox_capacity = 4096;
   bool collect_trace = false;    ///< record every delivery (tests)
   /// Bounded deterministic delivery sample (scale runs, where
@@ -182,6 +183,7 @@ struct MultiGroupSimResult {
   std::size_t processes = 0;  ///< Process-engine workers (0 otherwise)
   std::uint64_t rounds = 0;
   std::uint64_t messages = 0;        ///< cross-shard packets staged
+  /// Always 0 (mailboxes never spill); kept while perfbench names it.
   std::uint64_t messages_spilled = 0;
   std::size_t cross_edges = 0;
   std::size_t total_edges = 0;
@@ -218,11 +220,11 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config);
 std::uint64_t workload_fingerprint(const MultiGroupSimConfig& config);
 
 /// Warm-reuse entry point: `engine_slot` caches a sim::Engine across
-/// calls.  An empty slot (or one whose kind/shards/threads/
-/// mailbox_capacity no longer match the config) is (re)built; a
-/// compatible slot is Engine::reset() between runs — rebinding the
-/// partition-derived host->shard map and lookahead on the sharded
-/// backend — so every kernel/mailbox arena stays warm and the run
+/// calls.  An empty slot (or one whose kind/shards/threads/processes
+/// no longer match the config) is (re)built; a compatible slot is
+/// Engine::reset() between runs — rebinding the partition-derived
+/// host->shard map and lookahead on the sharded backend — so every
+/// kernel/mailbox arena stays warm and the run
 /// performs zero steady-state allocations inside the engine.  Results
 /// are byte-identical to the fresh-engine overload (the differential
 /// suite pins the canonical traces).  The slot must not be shared

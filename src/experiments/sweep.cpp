@@ -34,14 +34,12 @@ std::vector<SingleHostResult> sweep_single_host(SingleHostConfig base,
 std::vector<MultiGroupSimResult> sweep_multigroup(
     MultiGroupSimConfig base, const std::vector<double>& grid,
     std::size_t threads) {
-  // Prime the shared network cache before fanning out (avoids a thundering
-  // herd on the cache mutex doing redundant work).
-  default_network(base.hosts, 42);
   std::vector<MultiGroupSimResult> results(grid.size());
-  if (base.engine == sim::EngineKind::Sharded) {
-    // One sharded simulation per ρ̄ point: the shard workers are the
-    // parallel axis, so the points themselves run sequentially — through
-    // ONE warm engine, reset (and partition-rebound) between points.
+  if (base.engine != sim::EngineKind::Single) {
+    // One rounds-engine simulation per ρ̄ point: the shard workers
+    // (threads or processes) are the parallel axis, so the points
+    // themselves run sequentially — through ONE warm engine, reset (and
+    // partition-rebound) between points.
     std::unique_ptr<sim::Engine> warm;
     for (std::size_t i = 0; i < grid.size(); ++i) {
       MultiGroupSimConfig c = base;
@@ -68,7 +66,6 @@ std::vector<MultiGroupSimResult> sweep_multigroup(
 
 std::vector<TreeStructureResult> sweep_tree_structure(
     MultiGroupSimConfig base, const std::vector<double>& grid) {
-  default_network(base.hosts, 42);
   std::vector<TreeStructureResult> results(grid.size());
   util::parallel_for(grid.size(), [&](std::size_t i) {
     MultiGroupSimConfig c = base;

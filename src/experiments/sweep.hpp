@@ -3,10 +3,11 @@
 // its own RNG stream, fanned out over a thread pool.  These drive every
 // figure/table bench.
 //
-// Engine selection composes with sweeping: a MultiGroupSimConfig with
-// engine == Sharded runs one sharded simulation per grid point, with the
-// parallelism *inside* each point (the shard workers) instead of across
-// points — the two axes would otherwise oversubscribe each other.
+// Engine selection composes with sweeping: a MultiGroupSimConfig with a
+// rounds engine (Sharded or Process) runs one simulation per grid point,
+// with the parallelism *inside* each point (the shard workers, threads or
+// forked processes) instead of across points — the two axes would
+// otherwise oversubscribe each other.
 
 #include <optional>
 #include <vector>
@@ -25,12 +26,12 @@ std::vector<SingleHostResult> sweep_single_host(SingleHostConfig base,
                                                 const std::vector<double>& grid,
                                                 std::size_t threads = 0);
 
-/// Sweep run_multigroup over `grid`.  With base.engine == Sharded the
-/// points run sequentially, each fanned out over its own shard workers.
-/// Engines are warm-reused (Engine::reset between points — one warm
-/// engine per worker lane on the Single axis, one for the whole sweep on
-/// the Sharded axis), so only a lane's first point pays engine
-/// construction; every later point runs on warmed arenas.
+/// Sweep run_multigroup over `grid`.  With a rounds engine (Sharded or
+/// Process) the points run sequentially, each fanned out over its own
+/// shard workers.  Engines are warm-reused (Engine::reset between points
+/// — one warm engine per worker lane on the Single axis, one for the
+/// whole sweep on a rounds engine), so only a lane's first point pays
+/// engine construction; every later point runs on warmed arenas.
 std::vector<MultiGroupSimResult> sweep_multigroup(
     MultiGroupSimConfig base, const std::vector<double>& grid,
     std::size_t threads = 0);

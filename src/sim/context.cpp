@@ -56,7 +56,6 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
   const auto fill = [this](RoundsConfig& rc) {
     rc.shards = config_.shards;
     rc.lookahead = config_.lookahead;
-    rc.mailbox_capacity = config_.mailbox_capacity;
     rc.lookahead_matrix = config_.lookahead_matrix;
   };
   if (config_.kind == EngineKind::Sharded) {

@@ -1,7 +1,7 @@
 #pragma once
 // Engine-agnostic simulation API.
 //
-// Components (hosts, regulators, multiplexers, links, traffic sources)
+// Components (hosts, regulators, multiplexers, traffic sources)
 // talk to the kernel through a `SimContext` — a 16-byte non-owning handle
 // — instead of holding a concrete `Simulator&`.  The same component code
 // then runs unchanged on the single-threaded kernel and inside one shard
@@ -133,27 +133,12 @@ class SimContext {
     return backend_ != nullptr ? backend_->index : 0;
   }
 
-  /// True when this context belongs to a sharded backend.
-  bool sharded() const {
-    return backend_ != nullptr && backend_->shard != nullptr;
-  }
-
-  /// The conservative lookahead of the sharded backend (0 when single).
+  /// The conservative lookahead of a rounds backend (0 when single).
   Time lookahead() const {
-    return sharded() ? backend_->shard->lookahead() : 0.0;
+    return backend_ != nullptr && backend_->shard != nullptr
+               ? backend_->shard->lookahead()
+               : 0.0;
   }
-
-  /// Owning backend index of `host` (0 when single / no map).  `host`
-  /// must be covered by the engine's map (see EngineConfig::shard_of).
-  std::size_t owner_of(HostId host) const {
-    if (backend_ == nullptr || backend_->shard_of == nullptr) return 0;
-    assert(static_cast<std::size_t>(host) < backend_->shard_of_size &&
-           "host beyond the engine's shard_of map");
-    return backend_->shard_of[host];
-  }
-
-  /// True when `host`'s events run on this context's kernel.
-  bool local(HostId host) const { return owner_of(host) == shard_index(); }
 
   /// Location-transparent handoff: at simulated time `at`, the Engine's
   /// DeliverFn fires with (owning kernel's context, host, p).  Requires an
@@ -212,6 +197,7 @@ struct EngineConfig {
   /// Conservative lookahead: strict lower bound on the simulated-time
   /// delay of any cross-shard deliver().  Must be > 0 when sharded.
   Time lookahead = 0;
+  /// Inert: mailboxes have no capacity; kept while perfbench names it.
   std::size_t mailbox_capacity = 4096;
   /// host → owning shard.  Must cover every HostId the model passes to
   /// context_for_host / deliver (the multigroup experiments derive one
@@ -246,12 +232,12 @@ struct EngineConfig {
 ///
 /// An Engine is built once and may run MANY simulations: reset() rewinds
 /// the backend between runs with every arena kept warm (event slabs,
-/// pending-set buffers, mailbox rings, spill and drain vectors), so the
-/// second and later runs allocate nothing in steady state — the warm-sweep
-/// path of experiments::sweep_multigroup.  The backend kind, shard count,
-/// worker count and mailbox capacity are construction-time choices; the
-/// host->shard map and the lookahead may be re-derived per run through
-/// the rebinding reset overload (sweep points build different overlays).
+/// pending-set buffers, mailbox staging and drain vectors), so the second
+/// and later runs allocate nothing in steady state — the warm-sweep path
+/// of experiments::sweep_multigroup.  The backend kind, shard count and
+/// worker count are construction-time choices; the host->shard map and
+/// the lookahead may be re-derived per run through the rebinding reset
+/// overload (sweep points build different overlays).
 class Engine {
  public:
   explicit Engine(EngineConfig config);
@@ -358,9 +344,6 @@ class Engine {
   }
   std::uint64_t messages_posted() const {
     return core_ != nullptr ? core_->messages_posted() : 0;
-  }
-  std::uint64_t messages_spilled() const {
-    return core_ != nullptr ? core_->messages_spilled() : 0;
   }
 
  private:

@@ -65,9 +65,10 @@
 namespace emcast::sim {
 
 /// Non-allocating event callback.  The capacity accommodates the largest
-/// capture the engine makes on the hot path: a Packet by value plus a
-/// PacketFn sink plus a timestamp (see sim/link.cpp).  Bigger captures are
-/// a compile error — capture a pointer to named state instead.
+/// capture the engine makes on the hot path, a delivery (backend pointer,
+/// host and Packet by value: 72 B, see SimContext::deliver), with room to
+/// spare.  Bigger captures are a compile error — capture a pointer to
+/// named state instead.
 inline constexpr std::size_t kEventFnCapacity = 128;
 using EventFn = util::InlineFn<void(), kEventFnCapacity>;
 

@@ -1,26 +1,24 @@
 #pragma once
-// Cross-shard staging mailbox of the sharded simulator.  One mailbox per
-// ordered (source shard, destination shard) pair: the source's worker
-// thread is the only producer, the destination's worker the only
-// consumer, so the fast path is a lock-free SPSC ring.  Messages are
-// *staged* during a window and drained only at window barriers, which is
-// what makes the ring's fixed capacity safe to overflow into a
-// producer-private spill vector: between the end-of-window barrier and
-// the next window, producers are provably quiescent, so the consumer may
-// read the spill without synchronisation beyond the barrier edge itself.
+// Cross-shard staging mailbox of the rounds engines.  One mailbox per
+// ordered (source shard, destination shard) pair: one vector that the
+// source's worker appends to during a window and the destination's worker
+// empties at the next drain.  Producer and consumer never touch it at the
+// same time — posts happen inside windows, drains between them, and the
+// round barriers that separate the two phases order every access — so
+// the mailbox needs no synchronisation of its own.
 //
 // Ordering.  post() stamps each message with a per-mailbox sequence
 // number; the drain phase merges all of a shard's incoming mailboxes and
 // sorts by (deliver_at, source shard, seq) before scheduling, so the
 // local schedule order — and with it the (time, seq) fire order of the
 // destination shard — is a pure function of the model, not of thread
-// timing or mailbox capacity.
+// timing.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/packet.hpp"
-#include "util/spsc_ring.hpp"
 #include "util/types.hpp"
 
 namespace emcast::sim {
@@ -44,55 +42,55 @@ bool msg_before(const CrossShardMsg& a, const CrossShardMsg& b);
 
 class ShardMailbox {
  public:
-  ShardMailbox() = default;
+  /// A mailbox whose posts are stamped with `source_shard`.
+  explicit ShardMailbox(std::uint32_t source_shard)
+      : source_shard_(source_shard) {}
   ShardMailbox(const ShardMailbox&) = delete;
   ShardMailbox& operator=(const ShardMailbox&) = delete;
 
-  /// Size the ring and pre-warm the spill arena.  Call before the shard
-  /// workers start (not thread-safe).
-  void init(std::uint32_t source_shard, std::size_t ring_capacity);
-
-  /// Producer (source shard's worker, during its window): stage a packet.
-  /// A full ring spills — allocation-free once the spill vector has grown
-  /// past the high-water mark of any earlier window.
+  /// Producer (source shard's worker, during its window): stamp the next
+  /// sequence number and stage the packet.  Allocation-free once the
+  /// staging vector has grown past every earlier window's high-water mark.
   void post(const Packet& p, std::int32_t dest_host, Time deliver_at);
-
-  /// Consumer (destination shard's worker, at a window barrier): append
-  /// every staged message to `out` and leave the mailbox empty.  Must
-  /// only run while producers are quiescent (between windows).
-  void drain_into(std::vector<CrossShardMsg>& out);
 
   /// Consumer-side injection (process backend): append a message that a
   /// REMOTE worker process's copy of this mailbox already stamped — seq,
-  /// source shard and the posted/spilled telemetry all belong to the
-  /// producer's copy, so none are touched here.  The worker injects what
-  /// its incoming shared-memory rings carried after the exchange barrier;
-  /// the next drain merges injected messages into the same
+  /// source shard and the posted count belong to the producer's copy, so
+  /// none are touched here.  The worker injects what its incoming
+  /// shared-memory rings carried after the exchange barrier; the next
+  /// drain merges injected messages into the same
   /// (deliver_at, source shard, seq) sort as native ones, which is
   /// exactly why cross-process handoffs land in the identical order the
   /// threaded backend produces.  Only legal between windows.
-  void inject(const CrossShardMsg& m) { spill_.push_back(m); }
+  void inject(const CrossShardMsg& m) { staged_.push_back(m); }
 
-  /// Rewind for a new run: empty the ring and spill arenas WITHOUT
-  /// releasing them and restart the per-mailbox sequence and telemetry
-  /// counters.  NOT thread-safe — call only between runs, with every
-  /// worker quiescent.  Never allocates.
-  void reset();
+  /// The messages staged since the last clear(), in post order.  A drain
+  /// (the destination shard's worker, at a window barrier, or the process
+  /// backend's egress) reads them and then clears; it must only run while
+  /// producers are quiescent (between windows).
+  std::span<const CrossShardMsg> staged() const { return staged_; }
 
+  /// Empty the mailbox, keeping the staging vector's capacity.
+  void clear() { staged_.clear(); }
+
+  /// Rewind for a new run: empty the staging vector WITHOUT releasing it
+  /// and restart the sequence.  Call only between runs, with every worker
+  /// quiescent.  Never allocates.
+  void reset() {
+    staged_.clear();
+    posted_ = 0;
+  }
+
+  /// Messages posted since the last reset; the next post's seq.
   std::uint64_t posted() const { return posted_; }
-  std::uint64_t spilled() const { return spilled_; }
 
   /// Arena introspection for the zero-allocation steady-state proofs.
-  const void* ring_buffer() const { return ring_.buffer(); }
-  std::size_t spill_capacity() const { return spill_.capacity(); }
+  std::size_t staging_capacity() const { return staged_.capacity(); }
 
  private:
-  util::SpscRing<CrossShardMsg> ring_;
-  std::vector<CrossShardMsg> spill_;  ///< producer-owned between barriers
-  std::uint64_t next_seq_ = 0;        ///< producer-side post counter
+  std::vector<CrossShardMsg> staged_;
   std::uint64_t posted_ = 0;
-  std::uint64_t spilled_ = 0;
-  std::uint32_t source_shard_ = 0;
+  std::uint32_t source_shard_;
 };
 
 }  // namespace emcast::sim

@@ -26,8 +26,8 @@ struct Packet {
   Time age(Time now) const { return now - created; }
 };
 
-/// Non-allocating packet callback used by the per-hop pipeline (regulator
-/// sinks, MUX sinks, link delivery).  The capacity covers the captures the
+/// Non-allocating packet callback used by the per-hop pipeline (source,
+/// regulator, MUX and host sinks).  The capacity covers the captures the
 /// hop components actually make — a handful of references plus an index;
 /// a component needing more should capture a pointer to named state.
 inline constexpr std::size_t kPacketFnCapacity = 56;

@@ -118,11 +118,11 @@ class ProcessSimulator::Worker final : public RoundsCore::RoundSync {
     for (std::size_t d = 0; d < n; ++d) {
       if (d >= begin_ && d < end_) continue;
       for (std::size_t s = begin_; s < end_; ++s) {
-        batch_.clear();
-        sim_.mailbox(s, d).drain_into(batch_);
-        if (batch_.empty()) continue;
+        ShardMailbox& box = sim_.mailbox(s, d);
+        if (box.staged().empty()) continue;
         frame_.clear();
-        put_handoff(frame_, static_cast<std::uint32_t>(d), batch_);
+        put_handoff(frame_, static_cast<std::uint32_t>(d), box.staged());
+        box.clear();
         region_.ring(w_, sim_.owner_of(d)).write_frame(frame_, idle_);
       }
     }
@@ -174,7 +174,7 @@ class ProcessSimulator::Worker final : public RoundsCore::RoundSync {
     }
     const RoundsCounts c = sim_.block_counts(begin_, end_);
     frame_.clear();
-    put_bye(frame_, {sim_.rounds_, c.events, c.posted, c.spilled});
+    put_bye(frame_, {sim_.rounds_, c.events, c.posted});
     region_.to_parent(w_).write_frame(frame_, idle_);
   }
 
@@ -201,7 +201,6 @@ class ProcessSimulator::Worker final : public RoundsCore::RoundSync {
   const std::size_t end_;
   const std::function<void()> idle_;
   std::vector<RingReader> inbox_;  ///< from each other worker
-  std::vector<CrossShardMsg> batch_;
   std::vector<std::uint8_t> frame_;
   Frame decoded_;
 };
@@ -342,7 +341,6 @@ std::uint64_t ProcessSimulator::supervise(std::vector<Child>& children,
             if (w == 0) rounds = frame.bye.rounds;
             counts.events += frame.bye.events;
             counts.posted += frame.bye.posted;
-            counts.spilled += frame.bye.spilled;
             break;
           case FrameTag::kError:
             throw failure(std::string(frame.bytes.begin(), frame.bytes.end()));
@@ -381,7 +379,6 @@ std::uint64_t ProcessSimulator::supervise(std::vector<Child>& children,
   rounds_ = rounds;
   counts_.events += counts.events;
   counts_.posted += counts.posted;
-  counts_.spilled += counts.spilled;
   if (result_reader_) {
     for (std::size_t s = 0; s < n; ++s) {
       if (have_blob[s]) result_reader_(s, blobs[s].data(), blobs[s].size());

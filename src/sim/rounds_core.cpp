@@ -29,9 +29,8 @@ RoundsCore::RoundsCore(const RoundsConfig& config)
   for (std::size_t j = 0; j < n; ++j) {
     for (std::size_t i = 0; i < n; ++i) {
       if (i == j) continue;
-      auto box = std::make_unique<ShardMailbox>();
-      box->init(static_cast<std::uint32_t>(i), config.mailbox_capacity);
-      shards_[j]->incoming_[i] = std::move(box);
+      shards_[j]->incoming_[i] =
+          std::make_unique<ShardMailbox>(static_cast<std::uint32_t>(i));
     }
     shards_[j]->outgoing_.resize(n, nullptr);
   }
@@ -284,9 +283,7 @@ RoundsCounts RoundsCore::block_counts(std::size_t begin,
     c.events += shards_[s]->events_executed();
     for (std::size_t d = 0; d < shards_.size(); ++d) {
       if (d == s) continue;
-      const ShardMailbox& box = *shards_[d]->incoming_[s];
-      c.posted += box.posted();
-      c.spilled += box.spilled();
+      c.posted += shards_[d]->incoming_[s]->posted();
     }
   }
   return c;

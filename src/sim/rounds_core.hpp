@@ -95,20 +95,16 @@ struct RoundsConfig {
   /// delay of any cross-shard interaction (derive it from the minimum
   /// cross-shard link latency).  Must be finite and > 0.
   Time lookahead = 0;
-  /// Per-(source, destination) mailbox ring capacity (messages staged in
-  /// one window beyond this spill into a vector — correct but amortised).
-  std::size_t mailbox_capacity = 4096;
   /// Optional per-shard-pair lookahead matrix, flattened row-major
   /// ([src * shards + dst]); empty = the uniform scalar above bounds
   /// every pair.  See RoundsCore::set_lookahead_matrix for the contract.
   std::vector<Time> lookahead_matrix;
 };
 
-/// Model events executed and cross-shard messages posted and spilled.
+/// Model events executed and cross-shard messages posted.
 struct RoundsCounts {
   std::uint64_t events = 0;
   std::uint64_t posted = 0;
-  std::uint64_t spilled = 0;
 };
 
 class RoundsCore {
@@ -128,13 +124,13 @@ class RoundsCore {
 
   /// Rewind every shard for another simulation, keeping all arenas warm:
   /// per-shard kernels (reset_discarding — beyond-horizon leftovers are
-  /// expected after a bounded run), mailbox rings/spill vectors, drain
+  /// expected after a bounded run), mailbox staging vectors, drain
   /// buffers.  Telemetry (rounds, events, messages) restarts at zero; the
   /// message handler and the shard/worker topology are retained — shard
-  /// count, worker count and mailbox capacity are construction-time
-  /// choices.  `lookahead` <= 0 keeps the current value; a positive value
-  /// re-derives the conservative window width for the next run (it must
-  /// be finite, or std::invalid_argument) and clears the installed plan
+  /// count and worker count are construction-time choices.  `lookahead`
+  /// <= 0 keeps the current value; a positive value re-derives the
+  /// conservative window width for the next run (it must be finite, or
+  /// std::invalid_argument) and clears the installed plan
   /// and matrix, which were derived for the previous routing (the
   /// explicit scalar rebuilds the uniform bound).  A keep-current
   /// reset(0) retains both, so warm re-runs of the same schedule
@@ -205,7 +201,6 @@ class RoundsCore {
   std::uint64_t rounds() const { return rounds_; }
   std::uint64_t events_executed() const { return counts_.events; }
   std::uint64_t messages_posted() const { return counts_.posted; }
-  std::uint64_t messages_spilled() const { return counts_.spilled; }
 
  protected:
   /// Builds the shards and wires the mailbox graph; installs

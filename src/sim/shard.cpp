@@ -16,7 +16,10 @@ void Shard::reset() {
 void Shard::drain_and_schedule() {
   drain_buf_.clear();
   for (auto& mailbox : incoming_) {
-    if (mailbox) mailbox->drain_into(drain_buf_);
+    if (!mailbox) continue;
+    const std::span<const CrossShardMsg> staged = mailbox->staged();
+    drain_buf_.insert(drain_buf_.end(), staged.begin(), staged.end());
+    mailbox->clear();
   }
   if (drain_buf_.empty()) return;
   // Deterministic merge: thread timing decided nothing about this order,

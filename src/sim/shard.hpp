@@ -95,8 +95,8 @@ class Shard {
 
   /// Warm rewind for a new run (RoundsCore::reset, which then re-derives
   /// the lookahead floors): discard the kernel's pending events with its
-  /// arenas kept warm, rewind the incoming mailboxes (rings, spill vectors
-  /// and sequence counters — producers are quiescent between runs by the
+  /// arenas kept warm, rewind the incoming mailboxes (staging vectors and
+  /// sequence counters — producers are quiescent between runs by the
   /// round protocol) and keep the drain-buffer arena.  Never allocates.
   void reset();
 

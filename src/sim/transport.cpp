@@ -154,7 +154,6 @@ void put_bye(std::vector<std::uint8_t>& out, const ByeCounts& counts) {
   w.u64(counts.rounds);
   w.u64(counts.events);
   w.u64(counts.posted);
-  w.u64(counts.spilled);
 }
 
 void put_error(std::vector<std::uint8_t>& out, std::string_view what) {
@@ -187,7 +186,6 @@ void decode_frame(std::span<const std::uint8_t> payload, Frame& out) {
         out.bye.rounds = r.u64();
         out.bye.events = r.u64();
         out.bye.posted = r.u64();
-        out.bye.spilled = r.u64();
         break;
       case FrameTag::kError:
         read_bytes(r, out.bytes);

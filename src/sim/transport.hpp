@@ -134,7 +134,6 @@ struct ByeCounts {
   std::uint64_t rounds = 0;  ///< counted by worker 0 only
   std::uint64_t events = 0;
   std::uint64_t posted = 0;
-  std::uint64_t spilled = 0;
 };
 
 // Each put_* appends one frame payload to `out`.  Handoffs cross as the

@@ -14,6 +14,7 @@
 #include <memory>
 
 #include "experiments/multigroup_sim.hpp"
+#include "experiments/sweep.hpp"
 #include "traffic/trace_recorder.hpp"
 
 namespace emcast::experiments {
@@ -204,6 +205,29 @@ TEST(ProcessSimConformance, WarmEngineReuseMatchesFresh) {
   expect_conformant(warm_a1, fresh_a, "warm run 1");
   expect_conformant(warm_b, fresh_b, "warm run B");
   expect_conformant(warm_a2, fresh_a, "warm replay of A");
+}
+
+TEST(ProcessSimConformance, SweepMatchesSingleSweepPointByPoint) {
+  // A Process sweep runs its points one after another on one warm engine
+  // (the workers are the parallel axis); each point must equal the
+  // Single sweep's.
+  auto cfg = base_config(TrafficKind::Audio, RegulationScheme::SigmaRho);
+  cfg.duration = 1.0;
+  const std::vector<double> grid{0.4, 0.8};
+  const auto single = sweep_multigroup(cfg, grid);
+  cfg.engine = sim::EngineKind::Process;
+  cfg.shards = 4;
+  cfg.processes = 2;
+  cfg.process_timeout_seconds = 60.0;
+  const auto proc = sweep_multigroup(cfg, grid);
+  ASSERT_EQ(single.size(), grid.size());
+  ASSERT_EQ(proc.size(), grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const std::string label = "point " + std::to_string(i);
+    EXPECT_EQ(proc[i].processes, 2u) << label;
+    EXPECT_EQ(proc[i].utilization, single[i].utilization) << label;
+    expect_conformant(proc[i], single[i], label);
+  }
 }
 
 TEST(ProcessSimConformance, WarmSlotRebuildsOnProcessKnobChanges) {

@@ -18,7 +18,6 @@ TEST(SimContext, WrapsABareKernelImplicitly) {
   Simulator sim;
   SimContext ctx = sim;  // the migration path for single-kernel call sites
   ASSERT_TRUE(ctx.valid());
-  EXPECT_FALSE(ctx.sharded());
   EXPECT_EQ(ctx.shard_index(), 0u);
   EXPECT_DOUBLE_EQ(ctx.lookahead(), 0.0);
 
@@ -65,11 +64,12 @@ TEST(SimEngine, SingleBackendDeliversThroughTheHandler) {
   };
   std::vector<Arrival> arrivals;
   engine.set_deliver([&](SimContext ctx, HostId host, const Packet& p) {
+    // Every host is local on the single backend.
+    EXPECT_EQ(ctx.shard_index(), engine.shard_of_host(host));
     arrivals.push_back({ctx.now(), host, p.id});
   });
 
   SimContext ctx = engine.context();
-  EXPECT_TRUE(ctx.local(41));  // every host is local on the single backend
   Packet p;
   p.id = 7;
   ctx.deliver(41, p, 1.25);
@@ -153,18 +153,14 @@ TEST(ShardedSimEngine, RoutesDeliveriesToTheOwningShard) {
     };
     std::vector<Arrival> arrivals[2];
     engine.set_deliver([&](SimContext ctx, HostId host, const Packet&) {
-      EXPECT_TRUE(ctx.local(host))
+      EXPECT_EQ(ctx.shard_index(), engine.shard_of_host(host))
           << "handler must fire on the owning shard";
       arrivals[ctx.shard_index()].push_back(
           {ctx.shard_index(), host, ctx.now()});
     });
 
     SimContext s0 = engine.context(0);
-    EXPECT_TRUE(s0.sharded());
     EXPECT_DOUBLE_EQ(s0.lookahead(), 0.5);
-    EXPECT_TRUE(s0.local(1));
-    EXPECT_FALSE(s0.local(3));
-    EXPECT_EQ(s0.owner_of(3), 1u);
 
     // From shard 0: one local handoff (host 1) and one remote (host 2,
     // respecting the lookahead contract).

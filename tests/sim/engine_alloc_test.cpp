@@ -139,10 +139,10 @@ TEST(EngineAllocation, PushPopCancelChurnIsAllocationFree) {
 
 TEST(EngineAllocation, ShardedSteadyStateIsAllocationFreeAndArenasPinned) {
   // The sharded layer's steady state: window rounds, cross-shard posts
-  // through the mailbox rings (with deliberate spill traffic), drains,
-  // and local scheduling.  After a warm-up run that grows every arena —
-  // mailbox rings and spill vectors, drain buffers, event slabs, pending
-  // sets — a second identical run must allocate nothing and move nothing.
+  // into the mailbox staging vectors (a burst per window), drains, and
+  // local scheduling.  After a warm-up run that grows every arena —
+  // mailbox staging vectors, drain buffers, event slabs, pending sets — a
+  // second identical run must allocate nothing and move nothing.
   // threads = 1 keeps the scheduler in-process (std::thread startup
   // allocates by design); the schedule is identical for every thread
   // count, so this pins the same code path the parallel runs execute.
@@ -150,7 +150,6 @@ TEST(EngineAllocation, ShardedSteadyStateIsAllocationFreeAndArenasPinned) {
   cfg.shards = 2;
   cfg.threads = 1;
   cfg.lookahead = 0.5;
-  cfg.mailbox_capacity = 4;  // force ring overflow into the spill vector
   ShardedSimulator sharded(cfg);
   sharded.set_message_handler([](Shard& shard,
                                  std::span<const CrossShardMsg> msgs) {
@@ -159,7 +158,7 @@ TEST(EngineAllocation, ShardedSteadyStateIsAllocationFreeAndArenasPinned) {
       Packet p;
       void operator()() const {
         // Only the leader packet (id 1) volleys onward, posting a burst
-        // of 6 — more than the ring holds, so the spill path stays hot —
+        // of 6, so each staging vector holds several messages per window,
         // of which 5 are inert dummies (id 0).
         if (p.id == 1 && shard->now() < 40.0) {
           for (int i = 0; i < 6; ++i) {
@@ -182,19 +181,19 @@ TEST(EngineAllocation, ShardedSteadyStateIsAllocationFreeAndArenasPinned) {
     sharded.shard(0).post(1, p, 0,
                           sharded.shard(0).now() + sharded.lookahead());
   });
-  sharded.run(20.0);  // warm-up: grows ring spill, slabs, drain buffers
+  sharded.run(20.0);  // warm-up: grows staging vectors, slabs, drain buffers
   const std::size_t before = g_allocations.load();
   struct MailboxArenas {
-    const void* ring[2];
-    std::size_t spill_cap[2];
+    const void* staging[2];
+    std::size_t staging_cap[2];
     std::size_t drain_cap[2];
   };
   auto arenas = [&] {
     MailboxArenas a{};
     for (std::size_t s = 0; s < 2; ++s) {
       const ShardMailbox* box = sharded.shard(s).incoming(1 - s);
-      a.ring[s] = box->ring_buffer();
-      a.spill_cap[s] = box->spill_capacity();
+      a.staging[s] = box->staged().data();
+      a.staging_cap[s] = box->staging_capacity();
       a.drain_cap[s] = sharded.shard(s).drain_buffer_capacity();
     }
     return a;
@@ -205,12 +204,14 @@ TEST(EngineAllocation, ShardedSteadyStateIsAllocationFreeAndArenasPinned) {
       << "sharded window/mailbox steady state must not allocate";
   const MailboxArenas after = arenas();
   for (std::size_t s = 0; s < 2; ++s) {
-    EXPECT_EQ(after.ring[s], warm.ring[s]) << "mailbox ring moved";
-    EXPECT_EQ(after.spill_cap[s], warm.spill_cap[s]) << "spill arena grew";
+    ASSERT_NE(warm.staging[s], nullptr) << "staging vector never grew";
+    EXPECT_EQ(after.staging[s], warm.staging[s]) << "staging arena moved";
+    EXPECT_EQ(after.staging_cap[s], warm.staging_cap[s])
+        << "staging arena grew";
     EXPECT_EQ(after.drain_cap[s], warm.drain_cap[s]) << "drain arena grew";
   }
-  EXPECT_GT(sharded.messages_spilled(), 0u)
-      << "the workload must actually exercise the spill path";
+  EXPECT_GT(sharded.messages_posted(), 0u)
+      << "the workload must actually post cross-shard messages";
 }
 
 TEST(EngineAllocation, SimContextDeliverSteadyStateIsAllocationFree) {
@@ -227,13 +228,12 @@ TEST(EngineAllocation, SimContextDeliverSteadyStateIsAllocationFree) {
   ec.shards = 2;
   ec.threads = 1;
   ec.lookahead = 0.5;
-  ec.mailbox_capacity = 4;  // keep the ring-spill path hot
   ec.shard_of = {0, 0, 1, 1};
   Engine engine(ec);
   engine.set_deliver([](SimContext ctx, HostId host, const Packet& p) {
     if (p.id == 1 && ctx.now() < 40.0) {
       // Volley onward: one local redelivery plus a cross-shard burst of 6
-      // (more than the ring holds) of which 5 are inert dummies.
+      // of which 5 are inert dummies.
       Packet copy = p;
       copy.id = 0;
       ctx.deliver(host, copy, ctx.now() + 0.125);  // local hop
@@ -250,14 +250,13 @@ TEST(EngineAllocation, SimContextDeliverSteadyStateIsAllocationFree) {
     p.id = 1;
     s0.deliver(2, p, s0.now() + 0.5);
   });
-  engine.run(20.0);  // warm-up: grows rings, spill, slabs, drain buffers
+  engine.run(20.0);  // warm-up: grows staging vectors, slabs, drain buffers
   const std::size_t before = g_allocations.load();
   engine.run(40.0);  // identical steady traffic
   EXPECT_EQ(g_allocations.load(), before)
       << "SimContext::deliver steady state must not allocate";
-  EXPECT_GT(engine.messages_posted(), 0u);
-  EXPECT_GT(engine.messages_spilled(), 0u)
-      << "the workload must actually exercise the spill path";
+  EXPECT_GT(engine.messages_posted(), 0u)
+      << "the workload must actually post cross-shard messages";
 }
 
 TEST(EngineAllocation, SmallModeChurnIsAllocationFree) {
@@ -317,18 +316,17 @@ TEST(EngineAllocation, WarmResetSecondRunIsAllocationFree) {
 }
 
 TEST(EngineAllocation, ShardedEngineResetSecondRunIsAllocationFree) {
-  // Engine::reset across the full sharded stack: kernels, mailbox rings,
-  // spill vectors and drain buffers all survive the reset warm, so the
-  // second run — including fresh cross-shard spill traffic — allocates
-  // nothing and moves nothing.  threads = 1 keeps the scheduler
-  // in-process (std::thread startup allocates by design); the schedule
-  // is identical for every thread count.
+  // Engine::reset across the full sharded stack: kernels, mailbox staging
+  // vectors and drain buffers all survive the reset warm, so the second
+  // run — including fresh cross-shard traffic — allocates nothing and
+  // moves nothing.  threads = 1 keeps the scheduler in-process
+  // (std::thread startup allocates by design); the schedule is identical
+  // for every thread count.
   EngineConfig ec;
   ec.kind = EngineKind::Sharded;
   ec.shards = 2;
   ec.threads = 1;
   ec.lookahead = 0.5;
-  ec.mailbox_capacity = 4;  // keep the ring-spill path hot
   ec.shard_of = {0, 0, 1, 1};
   Engine engine(ec);
   engine.set_deliver([](SimContext ctx, HostId host, const Packet& p) {
@@ -337,7 +335,7 @@ TEST(EngineAllocation, ShardedEngineResetSecondRunIsAllocationFree) {
       copy.id = 0;
       ctx.deliver(host, copy, ctx.now() + 0.125);  // local hop
       const HostId remote = host < 2 ? 2 : 0;
-      for (int i = 0; i < 6; ++i) {  // burst > ring capacity: spills
+      for (int i = 0; i < 6; ++i) {  // a cross-shard burst per hop
         copy.id = i == 0 ? 1 : 0;
         ctx.deliver(remote, copy, ctx.now() + ctx.lookahead());
       }
@@ -353,7 +351,7 @@ TEST(EngineAllocation, ShardedEngineResetSecondRunIsAllocationFree) {
     engine.run(20.0);
   };
   kick();  // warm-up run grows every arena
-  ASSERT_GT(engine.messages_spilled(), 0u);
+  ASSERT_GT(engine.messages_posted(), 0u);
   const std::uint64_t events_first = engine.events_executed();
 
   const std::size_t before = g_allocations.load();
@@ -365,8 +363,8 @@ TEST(EngineAllocation, ShardedEngineResetSecondRunIsAllocationFree) {
       << "the second warm run must not allocate";
   EXPECT_EQ(engine.events_executed(), events_first)
       << "the warm rerun replays the identical schedule";
-  EXPECT_GT(engine.messages_spilled(), 0u)
-      << "the second run must exercise the spill path again";
+  EXPECT_GT(engine.messages_posted(), 0u)
+      << "the second run must post cross-shard messages again";
 }
 
 TEST(EngineAllocation, ChurnReplayWarmRerunIsAllocationFree) {
@@ -383,7 +381,6 @@ TEST(EngineAllocation, ChurnReplayWarmRerunIsAllocationFree) {
   ec.shards = 2;
   ec.threads = 1;
   ec.lookahead = 0.5;
-  ec.mailbox_capacity = 4;
   ec.shard_of = {0, 0, 1, 1};
   Engine engine(ec);
 
@@ -425,7 +422,7 @@ TEST(EngineAllocation, ChurnReplayWarmRerunIsAllocationFree) {
       copy.id = 0;
       ctx.deliver(host, copy, ctx.now() + 0.125);
       const HostId remote = host < 2 ? 2 : 0;
-      for (int i = 0; i < 6; ++i) {  // burst > ring capacity: spills
+      for (int i = 0; i < 6; ++i) {  // a cross-shard burst per hop
         copy.id = i == 0 ? 1 : 0;
         ctx.deliver(remote, copy, ctx.now() + ctx.lookahead());
       }

@@ -1,12 +1,10 @@
 // Sharded simulator suite: direct ShardedSimulator mechanics (window
 // progression, message ordering, lookahead plans and matrices and the
 // rule that they are never installed together, error propagation), plus
-// the two engine-level checks of the unregulated multigroup model
+// the engine-level check of the unregulated multigroup model
 // (RegulationScheme::None) that the model differential suite
-// (tests/integration/multigroup_determinism_test.cpp) does not
-// make: a repeated sharded run is identical, rounds and messages
-// included, and a mailbox so small that nearly every staged message
-// spills still yields the single-kernel trace.
+// (tests/integration/multigroup_determinism_test.cpp) does not make: a
+// repeated sharded run is identical, rounds and messages included.
 
 #include <atomic>
 #include <cstdint>
@@ -52,16 +50,6 @@ TEST(ShardedSimDifferential, RepeatedRunsAreIdentical) {
   ASSERT_TRUE(a.trace == b.trace);
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.messages, b.messages);
-}
-
-TEST(ShardedSimDifferential, MailboxSpillPathPreservesTheTrace) {
-  const auto ref = run_multigroup(dissemination_config());
-  MultiGroupSimConfig cfg = sharded(dissemination_config(), 4);
-  cfg.mailbox_capacity = 1;  // ~every staged message overflows the ring
-  const auto out = run_multigroup(cfg);
-  EXPECT_GT(out.messages_spilled, 0u)
-      << "capacity 1 should force the spill path";
-  ASSERT_TRUE(out.trace == ref.trace);
 }
 
 // ---- direct ShardedSimulator mechanics ----------------------------------

@@ -13,7 +13,7 @@
 //     and the mappings exactly as they found them (the region and the
 //     children are run()-scoped).
 //
-// Suite names stay outside the ShardedSim*/SpscRing* concurrency filter:
+// Suite names stay outside the ShardedSim* concurrency filter:
 // these tests fork, and fork+TSan is not a supported combination.
 
 #include <gtest/gtest.h>
@@ -210,14 +210,13 @@ TEST(TransportFrame, ResultAndByeRoundTrip) {
     EXPECT_EQ(back.bytes, blob);
 
     out.clear();
-    const ByeCounts bye{rng.next(), rng.next(), rng.next(), rng.next()};
+    const ByeCounts bye{rng.next(), rng.next(), rng.next()};
     put_bye(out, bye);
     decode_frame(out, back);
     EXPECT_EQ(back.tag, FrameTag::kBye);
     EXPECT_EQ(back.bye.rounds, bye.rounds);
     EXPECT_EQ(back.bye.events, bye.events);
     EXPECT_EQ(back.bye.posted, bye.posted);
-    EXPECT_EQ(back.bye.spilled, bye.spilled);
   }
 }
 
@@ -252,7 +251,7 @@ TEST(TransportFrame, EveryTruncationPrefixIsRejected) {
 
 TEST(TransportFrame, TrailingGarbageIsRejected) {
   std::vector<std::uint8_t> out;
-  put_bye(out, {1, 2, 3, 4});
+  put_bye(out, {1, 2, 3});
   out.push_back(0x00);
   Frame back;
   EXPECT_THROW(decode_frame(out, back), TransportError);
@@ -260,7 +259,7 @@ TEST(TransportFrame, TrailingGarbageIsRejected) {
 
 TEST(TransportFrame, UnknownTagIsRejected) {
   std::vector<std::uint8_t> out;
-  put_bye(out, {1, 2, 3, 4});
+  put_bye(out, {1, 2, 3});
   Frame back;
   for (const std::uint8_t tag : {0, 5, 255}) {
     out[0] = tag;
