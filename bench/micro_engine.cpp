@@ -202,9 +202,8 @@ void BM_MuxPriorityService(benchmark::State& state) {
                   core::MuxDiscipline::PriorityLifoLowest);
     for (int i = 0; i < 1000; ++i) {
       sim::Packet p;
-      p.priority = static_cast<std::uint8_t>(i % 3);
       p.size = 800;
-      mux.offer(std::move(p));
+      mux.offer(std::move(p), static_cast<std::size_t>(i % 3));
     }
     sim.run();
   }

@@ -38,17 +38,26 @@ AdaptiveHost::AdaptiveHost(sim::SimContext ctx, AdaptiveHostConfig config,
     throw std::invalid_argument(
         "AdaptiveHost: stability condition Σρᵢ ≤ C violated");
   }
+  // General MUX (Section III): packets of one flow may have priority over
+  // another's; the flow's declared class decides who overtakes whom.  A
+  // bucket serves one flow, so its sink carries that flow's class; the
+  // bank interleaves flows, so its sink looks the class up.
   buckets_.reserve(config_.flows.size());
   for (const auto& f : config_.flows) {
     buckets_.push_back(std::make_unique<TokenBucketRegulator>(
-        ctx_, f, [this](sim::Packet p) { mux_.offer(std::move(p)); }));
+        ctx_, f, [this, cls = std::size_t{f.priority}](sim::Packet p) {
+          mux_.offer(std::move(p), cls);
+        }));
     estimators_.emplace_back(config_.estimator_window);
   }
   auto bank_flows = config_.flows;
   for (auto& f : bank_flows) f.sigma *= config_.lambda_sigma_margin;
   bank_ = std::make_unique<LambdaRegulatorBank>(
       ctx_, std::move(bank_flows), config_.capacity,
-      [this](sim::Packet p) { mux_.offer(std::move(p)); },
+      [this](sim::Packet p) {
+        const std::size_t cls = config_.flows[flow_index(p.flow)].priority;
+        mux_.offer(std::move(p), cls);
+      },
       /*max_packet_bits=*/12000.0, config_.lambda_epoch_offset);
   bank_->pause();
 
@@ -102,10 +111,6 @@ std::size_t AdaptiveHost::memory_bytes() const {
 void AdaptiveHost::offer(sim::Packet p) {
   const std::size_t i = flow_index(p.flow);
   p.hop_arrival = ctx_.now();
-  // General MUX (Section III): packets of one flow may have priority over
-  // another's; the flow's declared class decides who overtakes whom.
-  p.priority = static_cast<std::uint8_t>(std::min<std::size_t>(
-      config_.flows[i].priority, Mux::kPriorityClasses - 1));
   estimators_[i].record(ctx_.now(), p.size);
   if (active_ == ControlMode::SigmaRhoLambda) {
     bank_->offer(std::move(p));
@@ -116,7 +121,6 @@ void AdaptiveHost::offer(sim::Packet p) {
 
 void AdaptiveHost::on_mux_output(sim::Packet p) {
   tracer_.record_delay(ctx_.now() - p.hop_arrival, ctx_.now());
-  ++p.hops;
   sink_(std::move(p));
 }
 

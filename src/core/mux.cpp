@@ -22,9 +22,9 @@ Bits Mux::backlog_bits() const {
 
 Bits Mux::peak_backlog_bits() const { return peak_backlog_; }
 
-void Mux::offer(sim::Packet p) {
-  const auto cls = std::min<std::size_t>(p.priority, kPriorityClasses - 1);
-  classes_[cls].push(std::move(p), ctx_.now());
+void Mux::offer(sim::Packet p, std::size_t cls) {
+  classes_[std::min(cls, kPriorityClasses - 1)].push(std::move(p),
+                                                     ctx_.now());
   peak_backlog_ = std::max(peak_backlog_, backlog_bits());
   if (!busy_) start_service();
 }

@@ -3,9 +3,10 @@
 // merges the flows arriving on an end host's input links into its single
 // output link of capacity C.  "General" means a packet of one flow may
 // have priority over another's — we implement strict priority classes with
-// FIFO order inside a class (priority 0 = highest); with all packets in
-// one class this degenerates to plain FIFO, the configuration used by the
-// paper's experiments.
+// FIFO order inside a class (class 0 = highest), the class given with each
+// offer().  With every packet in one class this degenerates to plain FIFO,
+// whose departures d = max(now, previous d) + size/C need no MUX at all:
+// the capacity-aware multigroup model computes them inline.
 
 #include <array>
 
@@ -53,9 +54,10 @@ class Mux {
   Mux(sim::SimContext ctx, Rate capacity, Sink sink,
       MuxDiscipline discipline = MuxDiscipline::PriorityFifo);
 
-  /// Submit a packet; service starts immediately when the server is idle
-  /// (work conservation).
-  void offer(sim::Packet p);
+  /// Submit a packet in priority class `cls` (0 = highest; classes past
+  /// the lowest fold into it); service starts immediately when the server
+  /// is idle (work conservation).
+  void offer(sim::Packet p, std::size_t cls);
 
   Rate capacity() const { return capacity_; }
   bool busy() const { return busy_; }

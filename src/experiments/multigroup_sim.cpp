@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <tuple>
 
-#include "core/mux.hpp"
 #include "netcalc/dsct_bounds.hpp"
 #include "sim/context.hpp"
 #include "sim/fault_injector.hpp"
@@ -131,11 +130,12 @@ bool engine_reusable(const sim::Engine& engine,
 ///
 ///   fwd_overhead + min cross-shard edge propagation.
 ///
-/// The bound survives MUX/uplink serialisation because cross-shard posts
-/// are issued at the *exit* of a host's output stage: queueing is paid
-/// before the post, and replication / per-packet copy offsets only add
-/// to the handoff delay (float addition is monotone), so every arrival
-/// satisfies deliver_at >= post time + lookahead.
+/// The bound survives MUX/uplink serialisation because a cross-shard post
+/// is issued when a copy leaves a regulated pipeline or enters a shared
+/// uplink: pipeline queueing is paid before the post, and uplink waits,
+/// replication and per-packet copy offsets only add to the handoff delay
+/// (float addition is monotone), so every arrival satisfies
+/// deliver_at >= post time + lookahead.
 struct RoundsEngineSetup {
   sim::EngineConfig engine;
   std::size_t cross_edges = 0;
@@ -402,12 +402,11 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
   }
   r.delay_bound = churn_on ? delay_bound : 0.0;
 
-  // Per-host forwarding pipeline: an AdaptiveHost (regulated schemes) or a
-  // bare work-conserving MUX (capacity-aware); the unregulated model has
-  // none.  Only hosts that forward in at least one tree need one.  Each
-  // pipeline is built against the context of the shard owning the host,
-  // so all of its events — regulators, bank slots, MUX service, control
-  // ticks — are shard-local.
+  // Per-host forwarding pipeline of the regulated schemes: an
+  // AdaptiveHost.  Only hosts that forward in at least one tree need one.
+  // Each pipeline is built against the context of the shard owning the
+  // host, so all of its events — regulators, bank slots, MUX service,
+  // control ticks — are shard-local.
   //
   // Scale layout: a host's only per-host footprint is its HostTable lane
   // entry; pipelines live in a DENSE array holding forwarders only,
@@ -417,8 +416,7 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
   // unique_ptrs plus a std::function for every host, forwarding or not).
   struct Pipeline {
     std::unique_ptr<core::AdaptiveHost> regulated;
-    std::unique_ptr<core::Mux> plain;  ///< capacity-aware shared uplink
-    std::uint32_t host = 0;            ///< owning host index (probes)
+    std::uint32_t host = 0;  ///< owning host index (probes)
   };
   topology::HostTable table(n);
   std::vector<Pipeline> pipelines;
@@ -426,11 +424,13 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
   const bool capacity_aware =
       config.regulation == RegulationScheme::CapacityAware;
   const bool unregulated = config.regulation == RegulationScheme::None;
-  // Capacity-aware hosts replicate through a *shared* uplink of
-  // C_host = host_capacity_factor · C (the Fig. 1 model their degree bound
-  // comes from); regulated hosts follow the paper's per-hop analysis — one
-  // regulated MUX per hop, replication copies paying only a serialisation
-  // offset.
+  // Capacity-aware and unregulated hosts replicate through a *shared*
+  // uplink, the table's uplink lane: for capacity-aware trees at least
+  // C_host = host_capacity_factor · C (the Fig. 1 model their degree
+  // bound comes from).  Regulated hosts follow the paper's per-hop
+  // analysis — one regulated MUX per hop, replication copies paying only
+  // a serialisation offset.
+  const bool shared_uplink = capacity_aware || unregulated;
   const double host_capacity_factor = 1.75;
 
   // Failure injection: one bursty loss process per receiving member (the
@@ -459,22 +459,14 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
     const auto& children =
         churn_on ? replicas[ctx.shard_index()].tree(p.group).children(h)
                  : mg.tree(p.group).children(h);
-    if (capacity_aware) {
-      // One copy per child through the shared uplink MUX; the sink routes
-      // each copy by its dest field.
-      core::Mux& uplink = *pipelines[table.pipeline(h)].plain;
-      for (std::size_t child : children) {
-        sim::Packet copy = p;
-        copy.dest = static_cast<std::int32_t>(child);
-        copy.hop_arrival = ctx.now();
-        uplink.offer(std::move(copy));
-      }
-      return;
-    }
     const Time overhead = config.fwd_overhead + p.size / config.fwd_cpu_rate;
-    if (unregulated) {
-      // Copies leave one after another through the host's own uplink;
-      // each then pays the forwarding overhead and the propagation.
+    if (shared_uplink) {
+      // Copies leave one after another through the host's own uplink, a
+      // single FIFO class, so each departs at max(now, uplink free) +
+      // size/uplink, exactly when a FIFO MUX would finish sending it.
+      // Each then pays the forwarding overhead and the propagation.  The
+      // handoff is made now, over a current tree edge, so a cross-shard
+      // post keeps the lookahead in force.
       Time& busy = table.busy_until(h);
       const Rate uplink = table.uplink(h);
       for (const std::size_t child : children) {
@@ -499,19 +491,13 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
   // capacity-aware and unregulated traffic goes straight to replication.
   // One function object for the whole run — the per-host closure the old
   // layout kept (a std::function per HostCtx) is gone.
-  std::function<void(std::size_t, sim::Packet, Time)> offer_host =
-      [&](std::size_t h, sim::Packet p, Time now) {
-        if (!unregulated) {
-          Pipeline& pl = pipelines[table.pipeline(h)];
-          if (pl.regulated) {
-            pl.regulated->offer(std::move(p));
-            return;
-          }
+  std::function<void(std::size_t, sim::Packet)> offer_host =
+      [&](std::size_t h, sim::Packet p) {
+        if (shared_uplink) {
+          forward(h, std::move(p));
+        } else {
+          pipelines[table.pipeline(h)].regulated->offer(std::move(p));
         }
-        // No input regulation: copies pass through the shared uplink MUX
-        // (capacity-aware) or the serialised uplink (unregulated).
-        p.hop_arrival = now;
-        forward(h, std::move(p));
       };
   // The engine's delivery handler runs at the arrival time on the kernel
   // owning the destination: record the end-to-end delay and forward
@@ -554,25 +540,8 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
     const auto& onward =
         churn_on ? replicas[ctx.shard_index()].tree(p.group).children(h)
                  : mg.tree(p.group).children(h);
-    if (!onward.empty()) {
-      offer_host(h, p, ctx.now());
-    }
+    if (!onward.empty()) offer_host(h, p);
   });
-  // Uplink sink for capacity-aware hosts: the copy has left the shared
-  // uplink; pay the app-layer overhead and underlay propagation, then
-  // deliver to its target child.
-  auto uplink_sink = [&engine, &config, &mg](std::size_t h) {
-    return [&engine, &config, &mg, h](sim::Packet p) {
-      const sim::SimContext ctx =
-          engine.context_for_host(static_cast<HostId>(h));
-      const auto child = static_cast<std::size_t>(p.dest);
-      const Time overhead = config.fwd_overhead + p.size / config.fwd_cpu_rate;
-      const Time prop = mg.member_delay(h, child);
-      p.dest = -1;
-      ctx.deliver(static_cast<HostId>(child), p,
-                  ctx.now() + (overhead + prop));
-    };
-  };
 
   // Instantiate pipelines for forwarding hosts.
   core::ControlMode mode = core::ControlMode::SigmaRho;
@@ -591,13 +560,28 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
     }
     return carried;
   };
+  // Capacity-aware trees rely on degree bounds, not traffic control, so
+  // their uplink is a plain FIFO at C_host with no priority structure.
+  // The scheme's premise is that children are only assigned where output
+  // capacity exists, so a host's uplink is sized to carry its actual
+  // assignment at the budget-safety utilisation (hosts that adopted more
+  // children are, by assumption, the stronger hosts).  Target uplink
+  // utilisation scales with the network load: when capacity is scarce
+  // (high ρ̄), the scheme packs hosts closer to their limits — that is
+  // exactly why its delays degrade.  Unregulated uplinks are sized so
+  // each host's carried replication load runs at ρ̄: heavy forwarders get
+  // wide uplinks, the premise degree-bounded overlays make.
+  const double target_util =
+      std::clamp(config.utilization + 0.04, 0.60, 0.99);
   for (std::size_t h = 0; h < n; ++h) {
-    if (unregulated) {
-      // Uplinks sized so each host's carried replication load runs at ρ̄:
-      // heavy forwarders get fat uplinks, the premise degree-bounded
-      // overlays make.
+    if (shared_uplink) {
+      // Every host gets its lane: under churn any member can become a
+      // forwarder when a repair hands it orphans.
       table.uplink(h) =
-          std::max(capacity, carried_rate(h) / config.utilization);
+          unregulated
+              ? std::max(capacity, carried_rate(h) / config.utilization)
+              : std::max(capacity * host_capacity_factor,
+                         carried_rate(h) / target_util);
       continue;
     }
     bool forwards = false;
@@ -616,54 +600,33 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
     pipelines.emplace_back();
     Pipeline& pl = pipelines.back();
     pl.host = static_cast<std::uint32_t>(h);
-    const sim::SimContext host_ctx =
-        engine.context_for_host(static_cast<HostId>(h));
-    auto sink = [&forward, h](sim::Packet p) { forward(h, std::move(p)); };
-    if (capacity_aware) {
-      // Plain FIFO uplink at C_host — capacity-aware trees rely on degree
-      // bounds, not traffic control, so there is no priority structure.
-      // The scheme's premise is that children are only assigned where
-      // output capacity exists, so a host's uplink is sized to carry its
-      // actual assignment at the budget-safety utilisation (hosts that
-      // adopted more children are, by assumption, the stronger hosts).
-      // Target uplink utilisation scales with the network load: when
-      // capacity is scarce (high ρ̄), the scheme packs hosts closer to
-      // their limits — that is exactly why its delays degrade.
-      const double target_util =
-          std::clamp(config.utilization + 0.04, 0.60, 0.99);
-      const Rate uplink = std::max(capacity * host_capacity_factor,
-                                   carried_rate(h) / target_util);
-      pl.plain =
-          std::make_unique<core::Mux>(host_ctx, uplink, uplink_sink(h));
-      table.uplink(h) = uplink;
-    } else {
-      core::AdaptiveHostConfig hc;
-      hc.flows = scenario.specs;
-      hc.capacity = capacity;
-      hc.mode = mode;
-      // The adversarial general MUX of the paper's analysis.
-      hc.mux_discipline = core::MuxDiscipline::PriorityLifoLowest;
-      // Depth-staggered TDMA: shift this host's schedule by its depth
-      // times the mean per-hop latency, so packets released inside their
-      // working period upstream arrive inside the same working period here
-      // and ride the wave instead of paying one vacation per hop.
-      double depth_sum = 0;
-      int depth_cnt = 0;
-      for (int g = 0; g < mg.groups(); ++g) {
-        // Churn: average over every membership — current leaves may be
-        // handed children later, and their depth barely moves under
-        // repair (splices reattach orphans at the grandparent's level).
-        if (churn_on || !mg.tree(g).children(h).empty()) {
-          depth_sum += mg.tree(g).depth(h);
-          ++depth_cnt;
-        }
+    core::AdaptiveHostConfig hc;
+    hc.flows = scenario.specs;
+    hc.capacity = capacity;
+    hc.mode = mode;
+    // The adversarial general MUX of the paper's analysis.
+    hc.mux_discipline = core::MuxDiscipline::PriorityLifoLowest;
+    // Depth-staggered TDMA: shift this host's schedule by its depth times
+    // the mean per-hop latency, so packets released inside their working
+    // period upstream arrive inside the same working period here and ride
+    // the wave instead of paying one vacation per hop.
+    double depth_sum = 0;
+    int depth_cnt = 0;
+    for (int g = 0; g < mg.groups(); ++g) {
+      // Churn: average over every membership — current leaves may be
+      // handed children later, and their depth barely moves under repair
+      // (splices reattach orphans at the grandparent's level).
+      if (churn_on || !mg.tree(g).children(h).empty()) {
+        depth_sum += mg.tree(g).depth(h);
+        ++depth_cnt;
       }
-      const double depth = depth_cnt ? depth_sum / depth_cnt : 0.0;
-      hc.lambda_epoch_offset = depth * mean_hop_latency;
-      pl.regulated =
-          std::make_unique<core::AdaptiveHost>(host_ctx, hc, sink);
-      pl.regulated->set_warmup(config.warmup);
     }
+    const double depth = depth_cnt ? depth_sum / depth_cnt : 0.0;
+    hc.lambda_epoch_offset = depth * mean_hop_latency;
+    pl.regulated = std::make_unique<core::AdaptiveHost>(
+        engine.context_for_host(static_cast<HostId>(h)), hc,
+        [&forward, h](sim::Packet p) { forward(h, std::move(p)); });
+    pl.regulated->set_warmup(config.warmup);
   }
 
   // Host-state memory budget: the SoA lanes plus every out-of-table block
@@ -673,8 +636,7 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
   {
     std::size_t pipeline_bytes = pipelines.capacity() * sizeof(Pipeline);
     for (const Pipeline& pl : pipelines) {
-      if (pl.regulated) pipeline_bytes += pl.regulated->memory_bytes();
-      if (pl.plain) pipeline_bytes += pl.plain->memory_bytes();
+      pipeline_bytes += pl.regulated->memory_bytes();
     }
     table.register_side_table("pipelines", pipeline_bytes);
     table.register_side_table(
@@ -709,7 +671,7 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
   // 56-byte inline-function slots, so they reach the frame state through
   // one pointer instead of capturing it piecewise.
   struct ChurnRuntime {
-    std::function<void(std::size_t, sim::Packet, Time)>* offer = nullptr;
+    std::function<void(std::size_t, sim::Packet)>* offer = nullptr;
     std::vector<Pipeline>* pipelines = nullptr;
     const std::vector<std::vector<std::uint32_t>>* shard_pipelines = nullptr;
     std::vector<ChurnState>* replicas = nullptr;
@@ -756,7 +718,7 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
                                   .children(src_host)
                             : rtp->mg->tree(p.group).children(src_host);
           if (!children.empty()) {
-            (*rtp->offer)(src_host, std::move(p), src_ctx.now());
+            (*rtp->offer)(src_host, std::move(p));
           }
         },
         config.duration);
@@ -779,9 +741,8 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
         ShardState& ss = (*rtp->shard_state)[ctx.shard_index()];
         for (const std::uint32_t i :
              (*rtp->shard_pipelines)[ctx.shard_index()]) {
-          const Pipeline& pl = (*rtp->pipelines)[i];
-          if (!pl.regulated) continue;
-          const Time t = pl.regulated->last_mode_switch_time();
+          const Time t =
+              (*rtp->pipelines)[i].regulated->last_mode_switch_time();
           if (t > done && t <= done + rtp->settle) ss.reconv.add(t - done);
         }
       });
@@ -840,9 +801,7 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
           // each shard ships the sum over the hosts it owns.
           std::uint64_t switches = 0;
           for (const std::uint32_t i : shard_pipelines[s]) {
-            if (pipelines[i].regulated) {
-              switches += pipelines[i].regulated->mode_switches();
-            }
+            switches += pipelines[i].regulated->mode_switches();
           }
           w.u64(switches);
           w.u32(static_cast<std::uint32_t>(ss.sample.size()));
@@ -934,7 +893,7 @@ MultiGroupSimResult run_multigroup(const MultiGroupSimConfig& config,
     r.mode_switches = process_mode_switches;
   } else {
     for (const Pipeline& pl : pipelines) {
-      if (pl.regulated) r.mode_switches += pl.regulated->mode_switches();
+      r.mode_switches += pl.regulated->mode_switches();
     }
   }
   r.events_executed = engine.events_executed();

@@ -35,8 +35,8 @@
 // Contracts preserved from the Simulator API:
 //   - zero steady-state allocation: SimContext is two pointers, passed by
 //     value; schedule_in/at forward to the slab-backed kernel unchanged;
-//     deliver()'s event capture (backend*, host, Packet) uses the fat
-//     slot pool exactly like the hand-written sharded models did;
+//     deliver()'s event capture (backend*, host, Packet: 56 B) fills one
+//     64-byte event slot;
 //   - byte-identical (time, seq) ordering: the handle adds no reordering
 //     of its own — local scheduling order is the call order, cross-shard
 //     drains keep the (deliver_at, source shard, seq) merge order.

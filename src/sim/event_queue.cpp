@@ -17,44 +17,34 @@ void EventQueue::throw_capacity_exhausted(const char* what) {
 void EventQueue::teardown_slots() noexcept {
   // All handles go stale first, so reentrant cancel()/pending() from the
   // capture destructors below are no-ops.
-  for (auto& occupants : occupant_) {
-    for (auto& word : occupants) word = kVacantTag | kNoSlot;
-  }
+  for (auto& word : occupant_) word = kVacantTag | kNoSlot;
   live_count_ = 0;
   dead_pending_ = 0;
-  // Destroy the captures now, while the occupant arrays are still alive;
+  // Destroy the captures now, while the occupant array is still alive;
   // the slab destructors later see only empty slots.  (Scheduling into a
   // queue mid-destruction remains unsupported, as documented.)
-  for (std::uint32_t i = 0; i < occupant_[0].size(); ++i) {
-    compact_fn(i) = nullptr;
-  }
-  for (std::uint32_t i = 0; i < occupant_[1].size(); ++i) {
-    fat_fn(i) = nullptr;
-  }
+  for (std::uint32_t i = 0; i < occupant_.size(); ++i) slot_fn(i) = nullptr;
 }
 
 void EventQueue::reset_slots() noexcept {
   // The two-phase teardown (every handle goes stale before any capture
   // destructor runs) is exactly teardown_slots; then, instead of leaving
-  // the arrays behind for the destructor, every slot of each pool is
-  // relinked into an ascending free list, so the warmed queue reissues
-  // slots in the exact order a fresh queue would first allocate them.
+  // the array behind for the destructor, every slot is relinked into an
+  // ascending free list, so the warmed queue reissues slots in the exact
+  // order a fresh queue would first allocate them.
   teardown_slots();
-  for (std::size_t pool = 0; pool < 2; ++pool) {
-    auto& occupants = occupant_[pool];
-    const std::size_t n = occupants.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t next =
-          i + 1 < n ? static_cast<std::uint32_t>(i + 1) : kNoSlot;
-      occupants[i] = kVacantTag | next;
-    }
-    free_head_[pool] = n != 0 ? 0 : kNoSlot;
+  const std::size_t n = occupant_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t next =
+        i + 1 < n ? static_cast<std::uint32_t>(i + 1) : kNoSlot;
+    occupant_[i] = kVacantTag | next;
   }
+  free_head_ = n != 0 ? 0 : kNoSlot;
   // next_seq_ is deliberately NOT rewound (epoch safety — see the header).
 }
 
 void EventQueue::cancel_handle(const EventHandle& h) {
-  if (h.queue_ != this || occupant(h.slot_) != h.seq_) {
+  if (h.queue_ != this || occupant_[h.slot_] != h.seq_) {
     return;  // already fired/cancelled (or the slot was recycled)
   }
   const std::uint32_t slot = h.slot_;
@@ -64,7 +54,7 @@ void EventQueue::cancel_handle(const EventHandle& h) {
   // cancel is a stale-handle no-op.  The slot joins the free list only
   // after the capture is fully destroyed, so a reentrant push cannot
   // grab a slot that is still being torn down.
-  occupant(slot) = kVacantTag | kNoSlot;  // vacant, not yet on free list
+  occupant_[slot] = kVacantTag | kNoSlot;  // vacant, not yet on free list
   --live_count_;
   ++dead_pending_;  // the pending record outlives the slot until popped
   destroy_capture(slot);

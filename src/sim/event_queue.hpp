@@ -3,25 +3,22 @@
 // steady-state heap allocations and minimal cache traffic.
 //
 // The queue owns the *callback storage* and the handle semantics — the
-// compact/fat callback slabs, the occupant words, the free lists, the
-// sequence counter and lazy cancellation — and orders 16-byte
-// PendingEntry records (sim/pending_entry.hpp) in a CalendarPendingSet
-// (sim/calendar_queue.hpp): the amortised-O(1) calendar queue, which runs
-// on its 4-ary PendingHeap below ~1k pending events and keeps the same
-// heap as its overflow year.  The push/fire path is fully inlined.
+// callback slab, the occupant words, the free list, the sequence counter
+// and lazy cancellation — and orders 16-byte PendingEntry records
+// (sim/pending_entry.hpp) in a CalendarPendingSet (sim/calendar_queue.hpp):
+// the amortised-O(1) calendar queue, which runs on its 4-ary PendingHeap
+// below ~1k pending events and keeps the same heap as its overflow year.
+// The push/fire path is fully inlined.
 //
 // Storage layout of the callback layer (no per-event allocation):
-//   - compact callback slab: captures up to 56 bytes — a `this` pointer
-//     plus an index or two — live in 64-byte slots, one cache line each,
-//     in 64-byte-aligned 512-slot blocks that are never relocated;
-//   - fat callback slab: larger captures get full 128-byte EventFn slots
-//     in their own 512-slot blocks, allocated only if ever used.  These
-//     include the model's busiest events: a delivery carries a Packet by
-//     value (72 bytes), a MUX completion 64 bytes;
-//   - occupant arrays: one 64-bit word per slot — the sequence number of
+//   - callback slab: every capture (at most 56 bytes) lives in a 64-byte
+//     slot, one cache line each, in 64-byte-aligned 512-slot blocks that
+//     are never relocated.  The model's busiest events fit: a delivery
+//     carries a 40-byte Packet by value (56 bytes), a MUX completion 48;
+//   - occupant array: one 64-bit word per slot — the sequence number of
 //     the event currently holding the slot, or a vacancy tag carrying the
-//     free-list link.  Liveness checks touch only these dense arrays,
-//     never the slabs.
+//     free-list link.  Liveness checks touch only this dense array, never
+//     the slab.
 //
 // Firing.  fire_next() runs the front callback in its slot: no capture
 // is moved or copied to fire it.  The slot is linked into the free list
@@ -37,9 +34,9 @@
 // handle — kept after its event fired, or pointing at a recycled slot —
 // simply mismatches, and cancel()/pending() are safe no-ops.  No
 // shared_ptr control block is ever allocated.  Sequence numbers are
-// packed to 40 bits (≈10^12 events per queue); the slot field is 24 bits
-// — bit 23 selects the pool, leaving 8.4M concurrently pending events
-// per pool.  Exceeding either limit throws rather than wrapping.
+// packed to 40 bits (≈10^12 events per queue) and slots to 24 bits
+// (16.7M concurrently pending events).  Exceeding either limit throws
+// rather than wrapping.
 // Handles must not outlive the EventQueue.
 //
 // Cancellation is lazy: cancel() destroys the callback, frees the slot
@@ -53,7 +50,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -64,18 +60,14 @@
 
 namespace emcast::sim {
 
-/// Non-allocating event callback.  The capacity accommodates the largest
-/// capture the engine makes on the hot path, a delivery (backend pointer,
-/// host and Packet by value: 72 B, see SimContext::deliver), with room to
-/// spare.  Bigger captures are a compile error — capture a pointer to
-/// named state instead.
-inline constexpr std::size_t kEventFnCapacity = 128;
+/// Non-allocating event callback: a capture up to this size plus the
+/// vtable pointer fills exactly one cache line.  The largest capture the
+/// engine makes on the hot path, a delivery (backend pointer, host and
+/// Packet by value, see SimContext::deliver), is exactly 56 B.  Bigger
+/// captures are a compile error — capture a pointer to named state
+/// instead.
+inline constexpr std::size_t kEventFnCapacity = 56;
 using EventFn = util::InlineFn<void(), kEventFnCapacity>;
-
-/// Storage type of the compact slab: a capture up to this size (plus the
-/// vtable pointer) fills exactly one cache line.
-inline constexpr std::size_t kCompactFnCapacity = 56;
-using CompactFn = util::InlineFn<void(), kCompactFnCapacity>;
 
 class EventQueue;
 
@@ -101,7 +93,7 @@ class EventHandle {
 
   EventQueue* queue_ = nullptr;
   std::uint64_t seq_ = 0;  ///< the event's generation: its sequence number
-  std::uint32_t slot_ = 0;  ///< packed pool bit + pool-local index
+  std::uint32_t slot_ = 0;  ///< index into the callback slab
 };
 
 class EventQueue {
@@ -138,7 +130,7 @@ class EventQueue {
 
   /// Discard every pending event (captures destroyed, slots recycled) and
   /// rewind to the fresh logical state while keeping every arena warm —
-  /// callback slabs, occupant arrays, the pending set's buffers.
+  /// callback slab, occupant array, the pending set's buffers.
   /// Outstanding handles go permanently stale (sequence numbers stay
   /// monotone across clears — the pre-clear epoch can never be confused
   /// with the new one), so stray cancel()/pending() calls remain safe
@@ -154,7 +146,7 @@ class EventQueue {
   friend class EventHandle;
   friend class EventQueueTestPeer;
 
-  // -- slot slabs ---------------------------------------------------------
+  // -- slot slab ----------------------------------------------------------
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   static constexpr std::size_t kBlockShift = 9;  ///< 512 slots per block
   static constexpr std::size_t kBlockSize = std::size_t{1} << kBlockShift;
@@ -165,46 +157,31 @@ class EventQueue {
   /// and outnumber the live ones; then the pending set is compacted.
   static constexpr std::size_t kCompactFloor = 64;
 
-  /// One cache line per compact event: vtable pointer + 56-byte capture.
-  struct alignas(64) CompactSlot {
-    CompactFn fn;
+  /// One cache line per event: vtable pointer + 56-byte capture.
+  struct alignas(64) Slot {
+    EventFn fn;
   };
-  static_assert(sizeof(CompactSlot) == 64);
+  static_assert(sizeof(Slot) == 64);
 
-  CompactFn& compact_fn(std::uint32_t i) {
-    return compact_slabs_[i >> kBlockShift][i & (kBlockSize - 1)].fn;
-  }
-  EventFn& fat_fn(std::uint32_t i) {
-    return fat_slabs_[i >> kBlockShift][i & (kBlockSize - 1)];
-  }
-  std::uint64_t& occupant(std::uint32_t slot) {
-    return occupant_[slot >> 23][slot & kPoolMask];
-  }
-  const std::uint64_t& occupant(std::uint32_t slot) const {
-    return occupant_[slot >> 23][slot & kPoolMask];
+  EventFn& slot_fn(std::uint32_t slot) {
+    return slabs_[slot >> kBlockShift][slot & (kBlockSize - 1)].fn;
   }
   bool entry_dead(const PendingEntry& e) const {
     // Vacant slots carry kVacantTag, which no 40-bit seq can equal.
-    return occupant(entry_slot(e)) != entry_seq(e);
+    return occupant_[entry_slot(e)] != entry_seq(e);
   }
 
-  template <bool Fat>
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);  ///< link a vacated slot
   /// Destroy the capture in `slot` in place (InlineFn::reset detaches its
   /// vtable before running the destructor, so the capture's teardown code
   /// sees an empty slot and may reenter cancel()/push() safely).
   void destroy_capture(std::uint32_t slot) noexcept {
-    const std::uint32_t index = slot & kPoolMask;
-    if (slot & kPoolBit) {
-      fat_fn(index) = nullptr;
-    } else {
-      compact_fn(index) = nullptr;
-    }
+    slot_fn(slot) = nullptr;
   }
   void cancel_handle(const EventHandle& h);
   /// Invalidate every occupant, then destroy all captures — while the
-  /// occupant arrays are still alive.  The destructor calls this: a
+  /// occupant array is still alive.  The destructor calls this: a
   /// capture destructor that cancels another handle (RAII-guard pattern)
   /// then sees a vacant occupant and no-ops instead of reading freed
   /// occupant words.  Idempotent.
@@ -212,8 +189,8 @@ class EventQueue {
   /// Warm-reuse variant of teardown: destroy every capture exactly like
   /// teardown_slots, then relink ALL slots (ascending, so a reused queue
   /// hands slots out in the same order a fresh one grows them) into the
-  /// free lists instead of leaving the arrays behind for the destructor.
-  /// The slabs and occupant arrays are retained — no memory is freed —
+  /// free list instead of leaving the array behind for the destructor.
+  /// The slab and occupant array are retained — no memory is freed —
   /// and next_seq_ is NOT rewound: generations stay monotone across
   /// resets, so a handle from a pre-reset epoch can never match a
   /// post-reset occupant (pending() is false, cancel() a no-op) even when
@@ -224,12 +201,10 @@ class EventQueue {
   [[noreturn]] static void throw_nonfinite_time();
   [[noreturn]] static void throw_capacity_exhausted(const char* what);
 
-  // Callback slabs: stable blocks, never relocated.  Index 0 of
-  // occupant_/free_head_ is the compact pool, 1 the fat pool.
-  std::vector<std::unique_ptr<CompactSlot[]>> compact_slabs_;
-  std::vector<std::unique_ptr<EventFn[]>> fat_slabs_;
-  std::vector<std::uint64_t> occupant_[2];
-  std::uint32_t free_head_[2] = {kNoSlot, kNoSlot};
+  // Callback slab: stable blocks, never relocated.
+  std::vector<std::unique_ptr<Slot[]>> slabs_;
+  std::vector<std::uint64_t> occupant_;
+  std::uint32_t free_head_ = kNoSlot;
 
   std::size_t live_count_ = 0;
   std::size_t dead_pending_ = 0;
@@ -239,7 +214,7 @@ class EventQueue {
 };
 
 inline bool EventHandle::pending() const {
-  return queue_ != nullptr && queue_->occupant(slot_) == seq_;
+  return queue_ != nullptr && queue_->occupant_[slot_] == seq_;
 }
 
 inline void EventHandle::cancel() {
@@ -248,34 +223,26 @@ inline void EventHandle::cancel() {
 
 // ---- hot path, kept inline so Simulator::run sees through the calls -----
 
-template <bool Fat>
 inline std::uint32_t EventQueue::acquire_slot() {
-  constexpr std::size_t pool = Fat ? 1 : 0;
-  auto& occupants = occupant_[pool];
-  if (free_head_[pool] != kNoSlot) {
-    const std::uint32_t index = free_head_[pool];
-    free_head_[pool] = static_cast<std::uint32_t>(occupants[index]);
-    return index | (Fat ? kPoolBit : 0u);
+  if (free_head_ != kNoSlot) {
+    const std::uint32_t slot = free_head_;
+    free_head_ = static_cast<std::uint32_t>(occupant_[slot]);
+    return slot;
   }
-  const std::size_t index = occupants.size();
-  if (index >= kPoolMask) throw_capacity_exhausted("pending events");
-  if ((index & (kBlockSize - 1)) == 0) {
+  const std::size_t slot = occupant_.size();
+  if (slot > kSlotMask) throw_capacity_exhausted("pending events");
+  if ((slot & (kBlockSize - 1)) == 0) {
     // New block boundary.  make_unique, so the block cannot leak if the
     // slab vector's own growth throws.
-    if constexpr (Fat) {
-      fat_slabs_.push_back(std::make_unique<EventFn[]>(kBlockSize));
-    } else {
-      compact_slabs_.push_back(std::make_unique<CompactSlot[]>(kBlockSize));
-    }
+    slabs_.push_back(std::make_unique<Slot[]>(kBlockSize));
   }
-  occupants.push_back(kVacantTag | kNoSlot);  // vacant until published
-  return static_cast<std::uint32_t>(index) | (Fat ? kPoolBit : 0u);
+  occupant_.push_back(kVacantTag | kNoSlot);  // vacant until published
+  return static_cast<std::uint32_t>(slot);
 }
 
 inline void EventQueue::release_slot(std::uint32_t slot) {
-  const std::size_t pool = slot >> 23;
-  occupant(slot) = kVacantTag | free_head_[pool];
-  free_head_[pool] = slot & kPoolMask;
+  occupant_[slot] = kVacantTag | free_head_;
+  free_head_ = slot;
 }
 
 template <typename F>
@@ -283,18 +250,12 @@ inline EventHandle EventQueue::push(Time t, F&& fn) {
   static_assert(EventFn::template fits<F>,
                 "EventQueue::push: callable violates the EventFn contract "
                 "(see util::InlineFn)");
-  constexpr bool kFat = sizeof(std::decay_t<F>) > kCompactFnCapacity;
   if (!std::isfinite(t)) throw_nonfinite_time();
   if (next_seq_ >= kSeqLimit) throw_capacity_exhausted("event sequence");
-  const std::uint32_t slot = acquire_slot<kFat>();
-  const std::uint32_t index = slot & kPoolMask;
+  const std::uint32_t slot = acquire_slot();
   const std::uint64_t seq = next_seq_;
   try {
-    if constexpr (kFat) {
-      fat_fn(index) = std::forward<F>(fn);  // constructed in place, no temp
-    } else {
-      compact_fn(index) = std::forward<F>(fn);
-    }
+    slot_fn(slot) = std::forward<F>(fn);  // constructed in place, no temp
     pending_.push(
         PendingEntry{time_key(t), (seq << kSlotShift) | slot});  // may grow
   } catch (...) {
@@ -306,7 +267,7 @@ inline EventHandle EventQueue::push(Time t, F&& fn) {
     throw;
   }
   next_seq_ = seq + 1;
-  occupant(slot) = seq;
+  occupant_[slot] = seq;
   ++live_count_;
   return EventHandle(this, slot, seq);
 }
@@ -330,20 +291,17 @@ inline Time EventQueue::fire_next() {
   skim_dead();
   assert(pending_.size() != 0 && "fire_next on empty EventQueue");
   const std::uint32_t slot = entry_slot(pending_.min());
-  const std::uint32_t index = slot & kPoolMask;
-  const bool fat = (slot & kPoolBit) != 0;
 #if defined(__GNUC__) || defined(__clang__)
   // Start pulling the callback's slab line while the pending-set deletion
   // below works through its levels; the two memory streams overlap.
-  __builtin_prefetch(fat ? static_cast<void*>(&fat_fn(index))
-                         : static_cast<void*>(&compact_fn(index)));
+  __builtin_prefetch(&slot_fn(slot));
 #endif
   const Time t = key_time(pending_.pop_min().time_key);
   // Vacate the occupant before the callback runs, so a cancel() of this
   // very event from inside it (or from the capture's destructor) is a
   // stale-handle no-op.  The slot is linked into the free list only once
   // the capture is gone, whichever way the callback leaves.
-  occupant(slot) = kVacantTag | kNoSlot;
+  occupant_[slot] = kVacantTag | kNoSlot;
   --live_count_;
   struct Release {
     EventQueue* queue;
@@ -353,11 +311,7 @@ inline Time EventQueue::fire_next() {
       queue->release_slot(slot);
     }
   } release{this, slot};
-  if (fat) {
-    fat_fn(index)();
-  } else {
-    compact_fn(index)();
-  }
+  slot_fn(slot)();
   return t;
 }
 

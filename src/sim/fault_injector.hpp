@@ -22,9 +22,9 @@
 //
 // Zero steady-state allocation: the schedule and handler are set up once
 // (setup-time allocation); arm() and the chain events use the kernel's
-// compact event slots ([injector, ctx, index] is 32 bytes, under the
-// 56-byte CompactFn bound), so re-arming a warm engine after reset()
-// allocates nothing.
+// event slots ([injector, ctx, index] is 32 bytes, under the 56-byte
+// EventFn bound), so re-arming a warm engine after reset() allocates
+// nothing.
 
 #include <cstdint>
 #include <functional>

@@ -33,6 +33,7 @@ struct CrossShardMsg {
   std::int32_t dest_host = -1;    ///< model routing key (host index)
 };
 static_assert(std::is_trivially_copyable_v<CrossShardMsg>);
+static_assert(sizeof(CrossShardMsg) == 64, "one cache line per message");
 
 /// Deterministic drain order: (deliver_at, source shard, seq).  Times are
 /// compared through their order-preserving integer image, exactly like

@@ -1,7 +1,13 @@
 #pragma once
 // Packets carried by the simulation.  A packet is created once by a traffic
 // source and then moved through regulators, multiplexers and links; hop
-// components only touch the timing fields they own.
+// components only touch the timing fields they own.  Routing is not the
+// packet's business: a MUX takes the service class as an argument of
+// offer(), and a handoff names its destination host beside the packet.
+//
+// 40 bytes, so that the engine's busiest captures fit one 64-byte event
+// slot: a delivery (backend pointer, host, Packet) is 56 B and a MUX
+// completion (this, Packet) 48 B.
 
 #include <cstdint>
 
@@ -17,14 +23,11 @@ struct Packet {
   Bits size = 0;              ///< size in bits
   Time created = 0;           ///< source emission time
   Time hop_arrival = 0;       ///< arrival at the current hop (set per hop)
-  std::uint32_t hops = 0;     ///< overlay hops traversed so far
-  std::uint8_t priority = 0;  ///< general-MUX priority class (0 = highest)
-  std::int32_t dest = -1;     ///< member index of the copy's target (for
-                              ///< shared-uplink replication), −1 if unused
 
   /// End-to-end delay observed at time `now`.
   Time age(Time now) const { return now - created; }
 };
+static_assert(sizeof(Packet) == 40, "a delivery capture must fit 56 bytes");
 
 /// Non-allocating packet callback used by the per-hop pipeline (source,
 /// regulator, MUX and host sinks).  The capacity covers the captures the

@@ -13,11 +13,10 @@
 
 namespace emcast::sim {
 
-/// Packed slot field layout: 24 bits, bit 23 selects the callback pool
-/// (0 compact, 1 fat), leaving 8.4M concurrently pending events per pool.
+/// Packed slot field: the low 24 bits, addressing 16.7M concurrently
+/// pending events.
 inline constexpr std::uint32_t kSlotShift = 24;
-inline constexpr std::uint32_t kPoolBit = 1u << 23;
-inline constexpr std::uint32_t kPoolMask = kPoolBit - 1;
+inline constexpr std::uint32_t kSlotMask = (1u << kSlotShift) - 1;
 
 /// One pending event as the pending set sees it.  `seq_slot` is
 /// (seq << 24) | slot, so a single 64-bit compare resolves time ties by
@@ -33,7 +32,7 @@ inline std::uint64_t entry_seq(const PendingEntry& e) {
   return e.seq_slot >> kSlotShift;
 }
 inline std::uint32_t entry_slot(const PendingEntry& e) {
-  return static_cast<std::uint32_t>(e.seq_slot) & (kPoolBit | kPoolMask);
+  return static_cast<std::uint32_t>(e.seq_slot) & kSlotMask;
 }
 
 /// Order-preserving map from double to uint64: flip the sign bit for

@@ -273,7 +273,16 @@ void RoundsCore::run_window(std::size_t s,
   }
   if (!(w > tmin)) w = std::nextafter(tmin, kTimeInfinity);
   w = std::min(w, std::nextafter(until, kTimeInfinity));
-  shards_[s]->sim_.run_before(w);
+  Shard& shard = *shards_[s];
+#ifndef NDEBUG
+  // Every shard runs to the same w here, so a post landing before it
+  // would land inside its destination's window (Shard::post asserts).
+  if (matrix_.empty()) shard.window_end_ = w;
+#endif
+  shard.sim_.run_before(w);
+#ifndef NDEBUG
+  shard.window_end_ = -kTimeInfinity;
+#endif
 }
 
 RoundsCounts RoundsCore::block_counts(std::size_t begin,

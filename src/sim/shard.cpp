@@ -11,6 +11,7 @@ void Shard::reset() {
   }
   drain_buf_.clear();  // capacity retained
   in_drain_ = false;
+  window_end_ = -kTimeInfinity;  // a window a model error left open
 }
 
 void Shard::drain_and_schedule() {

@@ -58,10 +58,12 @@ class Shard {
   Time lookahead() const { return lookahead_; }
 
   /// Hand `p` to `dest_shard`, arriving at `deliver_at`.  The arrival
-  /// must respect the lookahead contract: deliver_at >= now + lookahead.
-  /// (Violations would let a message land inside an already-executing
-  /// window; the destination kernel's schedule_at also rejects any time
-  /// in its past, so a broken model fails loudly, not silently.)
+  /// must respect the lookahead contract: deliver_at >= now + lookahead,
+  /// and on the scalar and plan paths deliver_at >= the end of the window
+  /// being run.  (Violations would let a message land inside an
+  /// already-executing window; the destination kernel's schedule_at also
+  /// rejects any time in its past, so a broken model fails loudly, not
+  /// silently — in a Debug build at this post, not in a later drain.)
   void post(std::size_t dest_shard, const Packet& p, std::int32_t dest_host,
             Time deliver_at) {
     assert(dest_shard != index_ && "post to self: schedule locally instead");
@@ -70,6 +72,8 @@ class Shard {
            "locally (see ShardMsgHandler)");
     assert(deliver_at >= sim_.now() + post_floor(dest_shard) &&
            "cross-shard post violates the lookahead contract");
+    assert(deliver_at >= window_end_ &&
+           "cross-shard post lands inside the window being run");
     outgoing_[dest_shard]->post(p, dest_host, deliver_at);
   }
 
@@ -121,6 +125,11 @@ class Shard {
   /// lookahead_ bounds every pair.  Debug-assert data only —
   /// the window protocol's safety derives from the scheduler's bound.
   std::vector<Time> post_floor_;
+  /// End of the window this shard is running on the scalar and plan
+  /// paths, -infinity outside windows and on the pair-matrix path, where
+  /// windows differ per shard and post_floor_ stands in.  Recorded by
+  /// RoundsCore::run_window in Debug builds only, for post()'s assert.
+  Time window_end_ = -kTimeInfinity;
   const ShardMsgHandler* handler_ = nullptr;
   /// True while drain_and_schedule runs its handlers (assert-only guard
   /// for the no-post-from-handler contract above).

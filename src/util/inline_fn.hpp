@@ -25,7 +25,6 @@
 // tests) can check a callable against the capacity contract without
 // triggering the hard error.
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -43,9 +42,8 @@ namespace detail {
 
 enum class InlineFnOp { kRelocate, kDestroy };
 
-/// Capacity-independent vtable, keyed by signature only: two InlineFn
-/// instantiations of different capacities share it, which is what lets a
-/// compact storage slot relocate into a wider InlineFn without re-erasing.
+/// Capacity-independent vtable, keyed by signature only: InlineFn
+/// instantiations of different capacities share it.
 template <typename R, typename... Args>
 struct InlineFnVTable {
   R (*invoke)(void*, Args&&...);
@@ -116,15 +114,6 @@ class InlineFn<R(Args...), Capacity> {
 
   InlineFn(InlineFn&& other) noexcept { move_from(other); }
 
-  /// Relocating move from an InlineFn of a different capacity (sharing
-  /// the signature-keyed vtable).  The stored capture must fit; callers
-  /// moving from a smaller capacity are safe by construction.
-  template <std::size_t C2, typename = std::enable_if_t<C2 != Capacity>>
-  InlineFn(InlineFn<R(Args...), C2>&& other) noexcept {
-    assert(!other.vtable_ || other.vtable_->size <= Capacity);
-    move_from_other(other);
-  }
-
   InlineFn& operator=(InlineFn&& other) noexcept {
     if (this != &other) {
       reset();
@@ -161,9 +150,6 @@ class InlineFn<R(Args...), Capacity> {
   }
 
  private:
-  template <typename, std::size_t>
-  friend class InlineFn;
-
   [[noreturn]] static void throw_bad_call() { throw std::bad_function_call(); }
 
   using Op = detail::InlineFnOp;
@@ -188,10 +174,7 @@ class InlineFn<R(Args...), Capacity> {
     vtable_ = &detail::kInlineFnVTable<Fn, R, Args...>;
   }
 
-  void move_from(InlineFn& other) noexcept { move_from_other(other); }
-
-  template <std::size_t C2>
-  void move_from_other(InlineFn<R(Args...), C2>& other) noexcept {
+  void move_from(InlineFn& other) noexcept {
     if (!other.vtable_) return;
     if (other.vtable_->manage) {
       other.vtable_->manage(Op::kRelocate, other.storage_, storage_);

@@ -7,13 +7,11 @@
 namespace emcast::core {
 namespace {
 
-sim::Packet make_packet(FlowId flow, Bits size, std::uint8_t priority = 0,
-                        std::uint64_t id = 0) {
+sim::Packet make_packet(FlowId flow, Bits size, std::uint64_t id = 0) {
   sim::Packet p;
   p.id = id;
   p.flow = flow;
   p.size = size;
-  p.priority = priority;
   return p;
 }
 
@@ -29,7 +27,7 @@ struct Harness {
 
 TEST(Mux, ServesAtCapacity) {
   Harness h(1000.0);
-  h.mux.offer(make_packet(0, 500.0));
+  h.mux.offer(make_packet(0, 500.0), 0);
   h.sim.run();
   ASSERT_EQ(h.out.size(), 1u);
   EXPECT_NEAR(h.out[0].first, 0.5, 1e-12);
@@ -37,7 +35,7 @@ TEST(Mux, ServesAtCapacity) {
 
 TEST(Mux, WorkConservingBackToBack) {
   Harness h(1000.0);
-  for (int i = 0; i < 3; ++i) h.mux.offer(make_packet(0, 200.0));
+  for (int i = 0; i < 3; ++i) h.mux.offer(make_packet(0, 200.0), 0);
   h.sim.run();
   ASSERT_EQ(h.out.size(), 3u);
   EXPECT_NEAR(h.out[0].first, 0.2, 1e-12);
@@ -48,7 +46,7 @@ TEST(Mux, WorkConservingBackToBack) {
 TEST(Mux, FifoWithinPriorityClass) {
   Harness h(1000.0);
   for (std::uint64_t i = 0; i < 5; ++i) {
-    h.mux.offer(make_packet(0, 100.0, 0, i));
+    h.mux.offer(make_packet(0, 100.0, i), 0);
   }
   h.sim.run();
   for (std::uint64_t i = 0; i < 5; ++i) EXPECT_EQ(h.out[i].second.id, i);
@@ -56,9 +54,9 @@ TEST(Mux, FifoWithinPriorityClass) {
 
 TEST(Mux, HigherPriorityOvertakesQueuedLower) {
   Harness h(1000.0);
-  h.mux.offer(make_packet(0, 100.0, 1, 10));  // starts service immediately
-  h.mux.offer(make_packet(0, 100.0, 1, 11));  // queued (low prio)
-  h.mux.offer(make_packet(1, 100.0, 0, 20));  // high prio, jumps queue
+  h.mux.offer(make_packet(0, 100.0, 10), 1);  // starts service immediately
+  h.mux.offer(make_packet(0, 100.0, 11), 1);  // queued (low prio)
+  h.mux.offer(make_packet(1, 100.0, 20), 0);  // high prio, jumps queue
   h.sim.run();
   ASSERT_EQ(h.out.size(), 3u);
   EXPECT_EQ(h.out[0].second.id, 10u);  // already in service
@@ -68,8 +66,8 @@ TEST(Mux, HigherPriorityOvertakesQueuedLower) {
 
 TEST(Mux, NonPreemptiveService) {
   Harness h(1000.0);
-  h.mux.offer(make_packet(0, 1000.0, 1, 1));  // 1 s service, low prio
-  h.sim.schedule_at(0.2, [&h] { h.mux.offer(make_packet(1, 100.0, 0, 2)); });
+  h.mux.offer(make_packet(0, 1000.0, 1), 1);  // 1 s service, low prio
+  h.sim.schedule_at(0.2, [&h] { h.mux.offer(make_packet(1, 100.0, 2), 0); });
   h.sim.run();
   // The low-priority packet in service is not preempted.
   EXPECT_EQ(h.out[0].second.id, 1u);
@@ -88,12 +86,12 @@ TEST(Mux, StarvationOfLowestClassUnderLoad) {
   // see ServiceDecisionExcludesSameInstantArrivals.)
   for (int i = 0; i < 20; ++i) {
     h.sim.schedule_at(0.12 * i, [&h, i] {
-      h.mux.offer(make_packet(0, 125.0, 0, static_cast<std::uint64_t>(i)));
+      h.mux.offer(make_packet(0, 125.0, static_cast<std::uint64_t>(i)), 0);
     });
   }
   // Low-priority packet arrives while the first high packet is in service.
   h.sim.schedule_at(0.0625,
-                    [&h] { h.mux.offer(make_packet(2, 125.0, 3, 99)); });
+                    [&h] { h.mux.offer(make_packet(2, 125.0, 99), 3); });
   h.sim.run();
   // The low packet is starved until the high-priority stream dries up.
   EXPECT_EQ(h.out.back().second.id, 99u);
@@ -110,10 +108,10 @@ TEST(Mux, ServiceDecisionExcludesSameInstantArrivals) {
   // completion (0.125 is a binary float), so the backlogged low packet is
   // chosen and the tied high packet waits one service slot.
   Harness h(1000.0);
-  h.sim.schedule_at(0.0, [&h] { h.mux.offer(make_packet(0, 125.0, 0, 1)); });
+  h.sim.schedule_at(0.0, [&h] { h.mux.offer(make_packet(0, 125.0, 1), 0); });
   h.sim.schedule_at(0.0625,
-                    [&h] { h.mux.offer(make_packet(2, 125.0, 3, 99)); });
-  h.sim.schedule_at(0.125, [&h] { h.mux.offer(make_packet(0, 125.0, 0, 2)); });
+                    [&h] { h.mux.offer(make_packet(2, 125.0, 99), 3); });
+  h.sim.schedule_at(0.125, [&h] { h.mux.offer(make_packet(0, 125.0, 2), 0); });
   h.sim.run();
   ASSERT_EQ(h.out.size(), 3u);
   EXPECT_EQ(h.out[0].second.id, 1u);
@@ -130,10 +128,10 @@ TEST(Mux, LifoLowestServesNewestOfLowestClass) {
           MuxDiscipline::PriorityLifoLowest);
   // Occupy the server, then queue three low-class packets; LIFO pops the
   // newest first.
-  mux.offer(make_packet(0, 100.0, 1, 50));  // in service at t=0
-  mux.offer(make_packet(0, 100.0, 1, 1));
-  mux.offer(make_packet(0, 100.0, 1, 2));
-  mux.offer(make_packet(0, 100.0, 1, 3));
+  mux.offer(make_packet(0, 100.0, 50), 1);  // in service at t=0
+  mux.offer(make_packet(0, 100.0, 1), 1);
+  mux.offer(make_packet(0, 100.0, 2), 1);
+  mux.offer(make_packet(0, 100.0, 3), 1);
   sim.run();
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(out[0].second.id, 50u);
@@ -148,11 +146,11 @@ TEST(Mux, LifoAppliesOnlyToLowestOccupiedClass) {
   Mux mux(sim, 1000.0,
           [&](sim::Packet p) { out.emplace_back(sim.now(), std::move(p)); },
           MuxDiscipline::PriorityLifoLowest);
-  mux.offer(make_packet(0, 100.0, 2, 90));  // in service
+  mux.offer(make_packet(0, 100.0, 90), 2);  // in service
   // Class 0 queue (not lowest while class 2 has packets): FIFO order.
-  mux.offer(make_packet(0, 100.0, 0, 10));
-  mux.offer(make_packet(0, 100.0, 0, 11));
-  mux.offer(make_packet(0, 100.0, 2, 91));
+  mux.offer(make_packet(0, 100.0, 10), 0);
+  mux.offer(make_packet(0, 100.0, 11), 0);
+  mux.offer(make_packet(0, 100.0, 91), 2);
   sim.run();
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(out[1].second.id, 10u);  // FIFO within the higher class
@@ -165,9 +163,9 @@ TEST(Mux, BacklogAndPeakTracking) {
   // *queued* packets only: after three 400-bit offers, one is on the wire
   // and two are queued.
   Harness h(1000.0);
-  h.mux.offer(make_packet(0, 400.0));
-  h.mux.offer(make_packet(0, 400.0));
-  h.mux.offer(make_packet(0, 400.0));
+  h.mux.offer(make_packet(0, 400.0), 0);
+  h.mux.offer(make_packet(0, 400.0), 0);
+  h.mux.offer(make_packet(0, 400.0), 0);
   EXPECT_DOUBLE_EQ(h.mux.backlog_bits(), 800.0);
   EXPECT_DOUBLE_EQ(h.mux.peak_backlog_bits(), 800.0);
   h.sim.run();
@@ -178,7 +176,7 @@ TEST(Mux, BacklogAndPeakTracking) {
 
 TEST(Mux, PriorityBeyondRangeClampsToLowestClass) {
   Harness h(1000.0);
-  h.mux.offer(make_packet(0, 100.0, 200, 1));
+  h.mux.offer(make_packet(0, 100.0, 1), 200);
   h.sim.run();
   EXPECT_EQ(h.out.size(), 1u);
 }
@@ -193,7 +191,7 @@ TEST(Mux, DelayBoundedBySigmaOverCapacityForFifoBurst) {
   // by sigma/C.
   Harness h(1000.0);
   const int n = 10;
-  for (int i = 0; i < n; ++i) h.mux.offer(make_packet(0, 100.0));
+  for (int i = 0; i < n; ++i) h.mux.offer(make_packet(0, 100.0), 0);
   h.sim.run();
   EXPECT_NEAR(h.out.back().first, n * 100.0 / 1000.0, 1e-9);
 }

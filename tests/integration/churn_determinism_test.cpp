@@ -141,6 +141,35 @@ TEST(ShardedSimChurn, AdaptiveControlUnderChurnMatches) {
       << "adaptive-under-churn traces differ";
 }
 
+TEST(ShardedSimChurn, CapacityAwareCrashHeavyMatchesSingle) {
+  // Capacity-aware copies queue in their forwarder's shared uplink.  At
+  // these points a copy that entered the uplink before a repair left it
+  // after one, and its cross-shard post once undercut the lookahead of
+  // the epoch then in force (schedule_at: time in the past).
+  struct Point {
+    double utilization;
+    std::uint64_t churn_seed;
+    std::size_t shards;
+  };
+  for (const Point& pt : {Point{0.8, 21, 4}, Point{0.6, 13, 2}}) {
+    auto cfg = crash_heavy(RegulationScheme::CapacityAware);
+    cfg.utilization = pt.utilization;
+    cfg.seed = 1;
+    cfg.churn.seed = pt.churn_seed;
+    const std::string label = "utilization " +
+                              std::to_string(pt.utilization) + ", " +
+                              std::to_string(pt.shards) + " shards";
+    const auto ref = run_reference(cfg);
+    ASSERT_GT(ref.churn_repairs, 0u) << label;
+    const auto sharded = run_sharded(cfg, pt.shards);
+    EXPECT_EQ(sharded.deliveries, ref.deliveries) << label;
+    EXPECT_EQ(sharded.churn_losses, ref.churn_losses) << label;
+    EXPECT_EQ(sharded.worst_case_delay, ref.worst_case_delay) << label;
+    EXPECT_EQ(sharded.mean_delay, ref.mean_delay) << label;
+    ASSERT_TRUE(sharded.trace == ref.trace) << label << ": traces differ";
+  }
+}
+
 TEST(ShardedSimChurn, WarmEngineReuseMatchesFreshUnderChurn) {
   const auto cfg = crash_heavy();
   std::unique_ptr<sim::Engine> slot;

@@ -4,13 +4,15 @@
 // would pass them unnoticed; these digests compare each run with the
 // output recorded before such a change.  Covered: the regulated fan-out
 // and MPEG frame trains on Single and 4-shard Sharded (the drain handler),
-// TraceSource replay trains, the unregulated dissemination fan-out on
-// Single, Sharded at 1 and 4 shards and Process, a CbrSource train
-// racing events that tie with its ticks, and churn: the resolved churn
-// timelines and lookahead plans of the shared churn slice
-// (tests/experiments/churn_slice.hpp) on both delay providers, and the
+// the capacity-aware shared uplink on Single, 4-shard Sharded and
+// Process, TraceSource replay trains, the unregulated dissemination
+// fan-out on Single, Sharded at 1 and 4 shards and Process, a CbrSource
+// train racing events that tie with its ticks, and churn: the resolved
+// churn timelines and lookahead plans of the shared churn slice
+// (tests/experiments/churn_slice.hpp) on both delay providers, the
 // crash-heavy and flash-join traces of churn_determinism_test.cpp on
-// Single and 4-shard Sharded.
+// Single and 4-shard Sharded, and a capacity-aware crash-heavy trace on
+// all three engines.
 //
 // A digest that moves is a behaviour change: explain every changed bit
 // before re-pinning.
@@ -89,6 +91,42 @@ void expect_on_both_engines(const MultiGroupSimConfig& cfg,
   const MultiGroupSimResult four = run_multigroup(sharded);
   EXPECT_GT(four.messages, 0u) << "no cross-shard traffic to drain";
   EXPECT_EQ(trace_hash(four.trace), pin) << "Sharded, 4 shards";
+}
+
+/// expect_on_both_engines, then Process: 4 shards on 2 workers.
+void expect_on_every_engine(const MultiGroupSimConfig& cfg,
+                            const char* pin) {
+  expect_on_both_engines(cfg, pin);
+  MultiGroupSimConfig process = cfg;
+  process.engine = sim::EngineKind::Process;
+  process.shards = 4;
+  process.processes = 2;
+  EXPECT_EQ(trace_hash(run_multigroup(process).trace), pin)
+      << "Process, 4 shards on 2 workers";
+}
+
+/// The capacity-aware trees: every copy leaves through its forwarder's
+/// shared uplink at C_host, so these pin the uplink queueing.
+MultiGroupSimConfig capacity_aware_config(TrafficKind kind) {
+  MultiGroupSimConfig c = regulated_config(kind);
+  c.regulation = RegulationScheme::CapacityAware;
+  c.utilization = 0.8;
+  return c;
+}
+
+TEST(GoldenTrace, CapacityAwareAudio) {
+  expect_on_every_engine(capacity_aware_config(TrafficKind::Audio),
+                         "d81aa2e738c0513e");
+}
+
+TEST(GoldenTrace, CapacityAwareVideo) {
+  expect_on_every_engine(capacity_aware_config(TrafficKind::Video),
+                         "aa5690f10e9b42ff");
+}
+
+TEST(GoldenTrace, CapacityAwareHetero) {
+  expect_on_every_engine(capacity_aware_config(TrafficKind::Hetero),
+                         "4f93c1a58676fb1c");
 }
 
 TEST(GoldenTrace, RegulatedVideo) {
@@ -254,6 +292,22 @@ TEST(GoldenTrace, ChurnCrashHeavy) {
   c.churn.rejoin_rate = 2.0;
   c.churn.domain_failure_rate = 1.0;
   expect_on_both_engines(c, "5bacbb9ec44ff6f9");
+}
+
+TEST(GoldenTrace, CapacityAwareChurnCrashHeavy) {
+  // The crash-heavy schedule on capacity-aware trees, at a point where a
+  // copy queued in the uplink across a repair once broke the rounds
+  // engines.  Recorded on Single.
+  MultiGroupSimConfig c = churn_run_config();
+  c.regulation = RegulationScheme::CapacityAware;
+  c.utilization = 0.8;
+  c.seed = 1;
+  c.churn.seed = 21;
+  c.churn.leave_rate = 0.25;
+  c.churn.crash_fraction = 0.9;
+  c.churn.rejoin_rate = 2.0;
+  c.churn.domain_failure_rate = 1.0;
+  expect_on_every_engine(c, "be709f1460bfb17b");
 }
 
 TEST(GoldenTrace, ChurnFlashJoin) {

@@ -164,6 +164,32 @@ TEST(ProcessSimConformance, ChurnDifferentialMatches) {
   }
 }
 
+TEST(ProcessSimConformance, CapacityAwareChurnMatchesSingle) {
+  // Capacity-aware copies queue in their forwarder's shared uplink; at
+  // this crash-heavy point a copy queued across a repair once broke the
+  // rounds engines (see ShardedSimChurn.CapacityAwareCrashHeavyMatchesSingle).
+  auto cfg = base_config(TrafficKind::Audio, RegulationScheme::CapacityAware);
+  cfg.utilization = 0.8;
+  cfg.seed = 1;
+  cfg.churn.enabled = true;
+  cfg.churn.seed = 21;
+  cfg.churn.detection_timeout = 0.05;
+  cfg.churn.settle_window = 0.2;
+  cfg.churn.leave_rate = 0.25;
+  cfg.churn.crash_fraction = 0.9;
+  cfg.churn.rejoin_rate = 2.0;
+  cfg.churn.domain_failure_rate = 1.0;
+  const auto ref = run_reference(cfg);
+  ASSERT_GT(ref.churn_repairs, 0u);
+  const auto proc = run_process(cfg, 4, 2);
+  expect_conformant(proc, ref, "capacity-aware churn, 4 shards on 2 workers");
+  EXPECT_EQ(proc.churn_events, ref.churn_events);
+  EXPECT_EQ(proc.churn_repairs, ref.churn_repairs);
+  EXPECT_EQ(proc.churn_losses, ref.churn_losses);
+  EXPECT_EQ(proc.violations_in_repair, ref.violations_in_repair);
+  EXPECT_EQ(proc.violations_steady, ref.violations_steady);
+}
+
 TEST(ProcessSimConformance, LossInjectionMatches) {
   // Per-host RNG loss streams live on the destination shard; the drop
   // decisions must replay identically inside worker processes.

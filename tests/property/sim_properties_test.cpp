@@ -85,14 +85,13 @@ TEST_P(MuxConservation, WorkConservingAndLossFree) {
   for (int i = 0; i < n; ++i) {
     t += rng.exponential(0.002);
     const Bits size = rng.uniform(200.0, 1200.0);
-    const auto prio = static_cast<std::uint8_t>(
+    const auto cls = static_cast<std::size_t>(
         rng.uniform_int(0, c.classes - 1));
     offered_bits += size;
-    sim.schedule_at(t, [&mux, size, prio] {
+    sim.schedule_at(t, [&mux, size, cls] {
       Packet p;
       p.size = size;
-      p.priority = prio;
-      mux.offer(std::move(p));
+      mux.offer(std::move(p), cls);
     });
   }
   sim.run();

@@ -94,8 +94,8 @@ class EventQueueTestPeer {
                   cal.scratch_capacity(),
                   cal.overflow().buffer(),
                   cal.overflow().capacity(),
-                  q.compact_slabs_.size() + q.fat_slabs_.size(),
-                  q.occupant_[0].size() + q.occupant_[1].size()};
+                  q.slabs_.size(),
+                  q.occupant_.size()};
   }
 };
 
@@ -216,7 +216,7 @@ TEST(EngineAllocation, ShardedSteadyStateIsAllocationFreeAndArenasPinned) {
 
 TEST(EngineAllocation, SimContextDeliverSteadyStateIsAllocationFree) {
   // The engine-agnostic delivery path: SimContext::deliver through an
-  // Engine's sharded backend — local deliveries (fat-slot event capture:
+  // Engine's sharded backend — local deliveries (one-slot event capture:
   // backend pointer + host + Packet) and cross-shard posts through the
   // mailbox machinery, with the registered DeliverFn fired per arrival.
   // After a warm-up run grows the arenas, identical steady traffic must

@@ -61,6 +61,12 @@ TEST(ShardedSimulator, RejectsNonPositiveLookahead) {
   EXPECT_THROW(sim::ShardedSimulator{cfg}, std::invalid_argument);
 }
 
+/// Two shards volleying one ball: the arrival times seen by each shard.
+struct Volley {
+  sim::ShardedSimulator* sharded;
+  std::vector<Time> arrivals[2];
+};
+
 TEST(ShardedSimulator, CrossShardPingPongIsExactAndOrdered) {
   // Two shards volley a packet: each arrival schedules a post back with
   // deliver_at = now + lookahead.  Checks message counts, window
@@ -71,27 +77,30 @@ TEST(ShardedSimulator, CrossShardPingPongIsExactAndOrdered) {
   cfg.lookahead = 0.5;
   sim::ShardedSimulator sharded(cfg);
 
-  std::vector<Time> arrivals[2];
-  sharded.set_message_handler([&arrivals](
-                                  sim::Shard& shard,
-                                  std::span<const sim::CrossShardMsg> msgs) {
-    for (const sim::CrossShardMsg& m : msgs) {
-      shard.sim().schedule_at(m.deliver_at, [&arrivals, &shard, m] {
-        arrivals[shard.index()].push_back(shard.now());
-        if (shard.now() < 5.0) {
-          shard.post(1 - shard.index(), m.packet, m.dest_host,
-                     shard.now() + shard.lookahead());
+  // An arrival event captures the packet and the host; the host names
+  // the shard the ball lands on.
+  Volley v{&sharded, {}};
+  sharded.set_message_handler(
+      [&v](sim::Shard& shard, std::span<const sim::CrossShardMsg> msgs) {
+        for (const sim::CrossShardMsg& m : msgs) {
+          shard.sim().schedule_at(m.deliver_at, [&v, p = m.packet,
+                                                 host = m.dest_host] {
+            sim::Shard& here = v.sharded->shard(host);
+            v.arrivals[host].push_back(here.now());
+            if (here.now() < 5.0) {
+              here.post(1 - host, p, 1 - host, here.now() + here.lookahead());
+            }
+          });
         }
       });
-    }
-  });
   // Kick off: shard 0 posts the first ball at t = 0.5.
   sharded.shard(0).sim().schedule_at(0.0, [&sharded] {
     sim::Packet p;
     p.id = 1;
-    sharded.shard(0).post(1, p, 0, sharded.shard(0).now() + 0.5);
+    sharded.shard(0).post(1, p, 1, sharded.shard(0).now() + 0.5);
   });
   sharded.run(10.0);
+  const auto& arrivals = v.arrivals;
 
   // Ball bounces at 0.5, 1.0, 1.5, ... 5.0; odd bounces land on shard 1.
   ASSERT_EQ(arrivals[1].size(), 5u);
@@ -189,28 +198,29 @@ TEST(ShardedSimulator, LookaheadPlanChangesWindowWidthMidRun) {
   sim::ShardedSimulator sharded(cfg);
   sharded.set_lookahead_plan({{0.0, 0.5}, {2.0, 0.25}});
 
-  auto epoch_lookahead = [](Time now) { return now < 2.0 ? 0.5 : 0.25; };
-  std::vector<Time> arrivals[2];
+  // As in the ping-pong test, the host names the shard the ball lands on.
+  Volley v{&sharded, {}};
   sharded.set_message_handler(
-      [&arrivals, epoch_lookahead](sim::Shard& shard,
-                                   std::span<const sim::CrossShardMsg> msgs) {
+      [&v](sim::Shard& shard, std::span<const sim::CrossShardMsg> msgs) {
         for (const sim::CrossShardMsg& m : msgs) {
-          shard.sim().schedule_at(
-              m.deliver_at, [&arrivals, epoch_lookahead, &shard, m] {
-                arrivals[shard.index()].push_back(shard.now());
-                if (shard.now() < 4.0) {
-                  shard.post(1 - shard.index(), m.packet, m.dest_host,
-                             shard.now() + epoch_lookahead(shard.now()));
-                }
-              });
+          shard.sim().schedule_at(m.deliver_at, [&v, p = m.packet,
+                                                 host = m.dest_host] {
+            sim::Shard& here = v.sharded->shard(host);
+            v.arrivals[host].push_back(here.now());
+            if (here.now() < 4.0) {
+              const Time lookahead = here.now() < 2.0 ? 0.5 : 0.25;
+              here.post(1 - host, p, 1 - host, here.now() + lookahead);
+            }
+          });
         }
       });
   sharded.shard(0).sim().schedule_at(0.0, [&sharded] {
     sim::Packet p;
     p.id = 1;
-    sharded.shard(0).post(1, p, 0, sharded.shard(0).now() + 0.5);
+    sharded.shard(0).post(1, p, 1, sharded.shard(0).now() + 0.5);
   });
   sharded.run(10.0);
+  const auto& arrivals = v.arrivals;
 
   // Bounces at 0.5, 1.0, 1.5, 2.0 (0.5 spacing), then 2.25, 2.5, ...
   std::vector<Time> all;

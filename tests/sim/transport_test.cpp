@@ -137,9 +137,6 @@ CrossShardMsg random_msg(util::Rng& rng) {
   m.packet.size = rng.uniform(0.0, 1e6);
   m.packet.created = rng.uniform(0.0, 100.0);
   m.packet.hop_arrival = rng.uniform(0.0, 100.0);
-  m.packet.hops = static_cast<std::uint32_t>(rng.uniform_int(0, 30));
-  m.packet.priority = static_cast<std::uint8_t>(rng.uniform_int(0, 3));
-  m.packet.dest = static_cast<std::int32_t>(rng.uniform_int(-1, 1000));
   m.deliver_at = rng.uniform(0.0, 200.0);
   m.seq = rng.next();
   m.source_shard = static_cast<std::uint32_t>(rng.uniform_int(0, 15));
@@ -156,9 +153,6 @@ bool msg_equal(const CrossShardMsg& a, const CrossShardMsg& b) {
          bits(a.packet.size) == bits(b.packet.size) &&
          bits(a.packet.created) == bits(b.packet.created) &&
          bits(a.packet.hop_arrival) == bits(b.packet.hop_arrival) &&
-         a.packet.hops == b.packet.hops &&
-         a.packet.priority == b.packet.priority &&
-         a.packet.dest == b.packet.dest &&
          bits(a.deliver_at) == bits(b.deliver_at) && a.seq == b.seq &&
          a.source_shard == b.source_shard && a.dest_host == b.dest_host;
 }
@@ -465,9 +459,9 @@ TEST(ProcessSimRobust, HundredWarmResetsLeakNothing) {
   std::uint64_t total = 0;
   const auto run_once = [&] {
     e.set_deliver([](SimContext ctx, HostId h, const Packet& p) {
-      if (p.hops < 3) {
+      if (p.id < 3) {  // the id counts the hops
         Packet q = p;
-        q.hops++;
+        q.id++;
         ctx.deliver(h == 0 ? 1 : 0, q, ctx.now() + 1.5);
       }
     });
